@@ -24,6 +24,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 
@@ -33,6 +34,7 @@ import reference
 from ressm import autodiff as ad
 from ressm import resample
 from ressm.network import ResampleNetwork
+from tracer import Patches
 
 LOGIT_RTOL = 1e-9
 GRAD_RTOL = 1e-5
@@ -47,20 +49,27 @@ def logits_match(model: ResampleNetwork, tokens) -> bool:
     return bool(np.max(np.abs(got - want)) <= LOGIT_RTOL * np.max(np.abs(want)))
 
 
-def routing_holds(model: ResampleNetwork, tokens) -> bool:
+@contextlib.contextmanager
+def recorded_plans():
+    """Every plan ``resample.make_plan`` makes inside the block, with its
+    inputs: (deltas, delta, k, plan)."""
     plans = []
-    make_plan = resample.make_plan
 
-    def recording(deltas, delta, k):
-        plan = make_plan(deltas, delta, k)
-        plans.append((np.array(deltas), float(delta), k, plan))
-        return plan
+    def recording(make_plan):
+        def record(deltas, delta, k):
+            plan = make_plan(deltas, delta, k)
+            plans.append((np.array(deltas), float(delta), k, plan))
+            return plan
+        return record
 
-    resample.make_plan = recording
-    try:
+    with Patches() as p:
+        p.wrap(resample, "make_plan", recording)
+        yield plans
+
+
+def routing_holds(model: ResampleNetwork, tokens) -> bool:
+    with recorded_plans() as plans:
         model.predict(tokens)
-    finally:
-        resample.make_plan = make_plan
     routes: list = []
     reference.forward(model.spec.to_dict(), model.params, model.buffers, tokens, routes)
     if len(plans) != len(routes):
@@ -86,20 +95,10 @@ def routing_holds(model: ResampleNetwork, tokens) -> bool:
 
 def _routed_forward(model, tokens, train, tape=None):
     """Forward that also returns every plan's routing."""
-    seen = []
-    make_plan = resample.make_plan
-
-    def recording(*a, **k):
-        plan = make_plan(*a, **k)
-        seen.append((plan.dst_len, plan.neighbors.tobytes(),
-                     resample.closest_grid_index(plan).tobytes()))
-        return plan
-
-    resample.make_plan = recording
-    try:
+    with recorded_plans() as plans:
         logits, bound = model.forward(tokens, tape=tape, train=train)
-    finally:
-        resample.make_plan = make_plan
+    seen = [(plan.dst_len, plan.neighbors.tobytes(),
+             resample.closest_grid_index(plan).tobytes()) for *_, plan in plans]
     return logits, bound, seen
 
 

@@ -35,10 +35,17 @@ LAYERS = ("network.norm", "resample.make_plan", "resample.compress",
 
 
 class Patches:
-    """Attribute replacements undone in reverse order."""
+    """Attribute replacements, undone in reverse order when the ``with``
+    block that holds them ends."""
 
     def __init__(self):
         self._saved = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.restore()
 
     def wrap(self, owner, attr, make):
         orig = getattr(owner, attr)
@@ -69,8 +76,6 @@ class StepClock:
 
     @contextlib.contextmanager
     def installed(self, kind: str):
-        p = Patches()
-
         def after(fn, then):
             def hooked(*a, **k):
                 out = fn(*a, **k)
@@ -78,16 +83,14 @@ class StepClock:
                 return out
             return hooked
 
-        if kind == "train":
-            p.wrap(training, "gen_sparse_task", lambda f: after(f, self.mark))
-            p.wrap(training, "evaluate", lambda f: after(f, self.mark))
-            p.wrap(training, "adamw_step", lambda f: after(f, self._step_done))
-        else:
-            p.wrap(network.ResampleNetwork, "predict", lambda f: after(f, self._step_done))
-        try:
+        with Patches() as p:
+            if kind == "train":
+                p.wrap(training, "gen_sparse_task", lambda f: after(f, self.mark))
+                p.wrap(training, "evaluate", lambda f: after(f, self.mark))
+                p.wrap(training, "adamw_step", lambda f: after(f, self._step_done))
+            else:
+                p.wrap(network.ResampleNetwork, "predict", lambda f: after(f, self._step_done))
             yield self
-        finally:
-            p.restore()
 
 
 class Tracer:
@@ -174,34 +177,31 @@ class Tracer:
 
     @contextlib.contextmanager
     def installed(self):
-        p = Patches()
         span = self._span
-        p.wrap(tasks, "gen_sparse_task", lambda f: span(f, "tasks.gen_sparse_task"))
-        p.wrap(training, "gen_sparse_task", lambda f: span(f, "tasks.gen_sparse_task"))
-        p.wrap(checkpoint, "load_checkpoint", lambda f: span(f, "checkpoint.load_checkpoint"))
-        p.wrap(checkpoint, "save_checkpoint", lambda f: span(f, "checkpoint.save_checkpoint"))
-        p.wrap(training, "evaluate", lambda f: span(f, "training.evaluate"))
-        p.wrap(training, "clip_global_norm", lambda f: span(f, "training.optimizer"))
-        p.wrap(training, "adamw_step", lambda f: span(f, "training.optimizer"))
-        p.wrap(network.ResampleNetwork, "forward", lambda f: span(f, "network.forward"))
-        p.wrap(network, "rmsnorm", lambda f: span(f, "network.norm", layer=True))
-        p.wrap(network, "batchnorm", lambda f: span(f, "network.norm", layer=True))
-        p.wrap(resample, "make_plan", lambda f: span(
-            self._counted(f, "rows_out", lambda a, plan: plan.dst_len),
-            "resample.make_plan", layer=True))
-        p.wrap(resample, "compress_tracked", lambda f: span(f, "resample.compress", layer=True))
-        p.wrap(resample, "decompress_tracked",
-               lambda f: span(f, "resample.decompress", layer=True))
-        p.wrap(network, "ssm_scan", lambda f: span(
-            self._counted(f, "scan_rows", lambda a, y: y.shape[0]),
-            "selective.ssm_scan", layer=True))
-        p.wrap(autodiff, "custom_op", self._record)
-        p.wrap(autodiff.Tape, "backward", lambda f: span(
-            self._counted(f, "tape_nodes", lambda a, _: len(a[0].nodes)), "autodiff.backward"))
-        try:
+        with Patches() as p:
+            p.wrap(tasks, "gen_sparse_task", lambda f: span(f, "tasks.gen_sparse_task"))
+            p.wrap(training, "gen_sparse_task", lambda f: span(f, "tasks.gen_sparse_task"))
+            p.wrap(checkpoint, "load_checkpoint", lambda f: span(f, "checkpoint.load_checkpoint"))
+            p.wrap(checkpoint, "save_checkpoint", lambda f: span(f, "checkpoint.save_checkpoint"))
+            p.wrap(training, "evaluate", lambda f: span(f, "training.evaluate"))
+            p.wrap(training, "clip_global_norm", lambda f: span(f, "training.optimizer"))
+            p.wrap(training, "adamw_step", lambda f: span(f, "training.optimizer"))
+            p.wrap(network.ResampleNetwork, "forward", lambda f: span(f, "network.forward"))
+            p.wrap(network, "rmsnorm", lambda f: span(f, "network.norm", layer=True))
+            p.wrap(network, "batchnorm", lambda f: span(f, "network.norm", layer=True))
+            p.wrap(resample, "make_plan", lambda f: span(
+                self._counted(f, "rows_out", lambda a, plan: plan.dst_len),
+                "resample.make_plan", layer=True))
+            p.wrap(resample, "compress_tracked", lambda f: span(f, "resample.compress", layer=True))
+            p.wrap(resample, "decompress_tracked",
+                   lambda f: span(f, "resample.decompress", layer=True))
+            p.wrap(network, "ssm_scan", lambda f: span(
+                self._counted(f, "scan_rows", lambda a, y: y.shape[0]),
+                "selective.ssm_scan", layer=True))
+            p.wrap(autodiff, "custom_op", self._record)
+            p.wrap(autodiff.Tape, "backward", lambda f: span(
+                self._counted(f, "tape_nodes", lambda a, _: len(a[0].nodes)), "autodiff.backward"))
             yield self
-        finally:
-            p.restore()
 
     # -- roll-ups -----------------------------------------------------------
 

@@ -24,7 +24,7 @@ from tracer import LAYERS, StepClock, Tracer
 
 BATCH = 16
 MIN_STEPS = 100  # so the 90th-percentile step has ten samples beyond it
-SETUP_REPEATS = 21
+SETUP_REPEATS = 61  # a set-up is a few ms; the host's speed moves in phases of seconds
 CHECK_SAMPLES = 2  # validation examples per check
 
 
@@ -42,9 +42,7 @@ WORKLOADS = {
     # Criterion-8 config: kNN plan, scan and tape each carry a similar share.
     "train-L256": Workload("train", 256, "criterion8", n_train=32, n_val=8, epochs=5),
     # Many tape nodes over few positions: per-op tape and optimizer cost
-    # dominate; the only workload on the batchnorm path.  Runs by hand:
-    # BENCHMARK.json leaves it out, its spread on a drifting host being
-    # above the largest bound allowed.
+    # dominate; the only workload on the batchnorm path.
     "train-L32-bn": Workload("train", 32, "preset", n_train=32, n_val=8, epochs=5),
     # Forward only on long inputs: routing, copy-back and scan forward.
     "eval-L1024": Workload("eval", 1024, "criterion8", n_train=16, n_val=16),
