@@ -11,7 +11,8 @@ Design constraints honoured throughout:
 * NaN/Inf anywhere is an immediate error, never a silent value,
 * broadcasting is restricted to scalar-vs-tensor so every gradient rule
   stays auditable,
-* a tape is single-use: one forward, one backward, then ``reset()``.
+* a tape is single-use: one forward, one backward, then ``reset()``,
+  or ``release()`` once the gradients have been read.
 """
 
 from __future__ import annotations
@@ -226,6 +227,17 @@ class Tape:
 
     def reset(self) -> None:
         """Clear gradients so the tape may run backward again."""
+        self.grads = None
+
+    def release(self) -> None:
+        """End the tape's life once its gradients have been read.
+
+        Tracked tensors point at their tape and the nodes' backward rules
+        hold those tensors, so a tape is a reference cycle.  Dropping the
+        nodes breaks it, and the tape is freed with the caller's last
+        tensor instead of at the next cyclic collection.
+        """
+        self.nodes = []
         self.grads = None
 
 

@@ -203,7 +203,8 @@ def cmd_train(args) -> int:
               ["epoch", "split", "loss", "top1", "top5", "ppl"], result.rows())
     extra = {"task": _task_dict(task), "final_val": result.final_val.to_dict()}
     save_checkpoint(os.path.join(out, "checkpoint_final.json"), model, extra=extra)
-    best = ResampleNetwork(model.spec, params=result.best_params, buffers=model.buffers)
+    best = ResampleNetwork(model.spec, params=result.best_params,
+                           buffers=result.best_buffers)
     save_checkpoint(os.path.join(out, "checkpoint_best.json"), best,
                     extra={"task": _task_dict(task), "best_epoch": result.best_epoch})
     summary = {

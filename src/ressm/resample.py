@@ -11,6 +11,15 @@ its closest grid point.
 Neighbor selection and the copy-back argmin are frozen integer routing;
 gradients flow through feature values, the mixing map, the basis means,
 and the time axes (hence into the interval map).
+
+Both routings rest on one property: source times and grid times are
+increasing, so distance to a fixed time falls up to its ``searchsorted``
+position and rises after it.  The K nearest sources of a grid point are
+then one contiguous run within K places of that position, and the
+nearest grid point of a source is one of the two around it.  Routing
+therefore costs O((L + D K) log L) time and O(L + D K) memory, where a
+sort per grid point or a distance matrix over all pairs cost O(L D).  ``knn_indices`` is the brute-force definition, kept as
+the oracle the tests hold both fast paths to, bit for bit.
 """
 
 from __future__ import annotations
@@ -182,13 +191,44 @@ def knn_indices(dst_time: float, src_times: np.ndarray, k: int) -> np.ndarray:
 
 
 def make_plan(deltas: np.ndarray, delta_base: float, window_k: int) -> ResamplePlan:
-    """Grid plus the frozen neighbor windows for every grid point."""
+    """Grid plus the frozen neighbor windows for every grid point.
+
+    Row l of ``neighbors`` equals ``knn_indices(dst_times[l], src_times,
+    window_k)``.  The 2K sources around each grid point's ``searchsorted``
+    position are ranked by the same distance with the same stable sort, so
+    ties still go to the lower index.  A source further out can only tie
+    the window's outermost earlier source when two source times are equal
+    to within rounding; such rows are ranked over all sources.
+    """
     plan = build_grid(deltas, delta_base)
-    neighbors = np.stack(
-        [knn_indices(t, plan.src_times, window_k) for t in plan.dst_times]
-    )
-    plan.neighbors = neighbors
+    src, dst, k = plan.src_times, plan.dst_times, window_k
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    n = len(src)
+    pos = np.searchsorted(src, dst)
+    cand = pos[:, None] + np.arange(-k, k)
+    inside = (cand >= 0) & (cand < n)
+    cand = np.clip(cand, 0, n - 1)
+    dist = np.where(inside, np.abs(src[cand] - dst[:, None]), np.inf)
+    chosen = _nearest(cand, dist, min(k, n))
+    # A source beyond the window ranks ahead of one inside only by tying
+    # the window's earliest source, which takes equal source times.
+    beyond = pos - k - 1
+    tied = np.flatnonzero((beyond >= 0) & (dist[:, 0] == np.abs(src[np.maximum(beyond, 0)] - dst)))
+    if len(tied):
+        every = np.broadcast_to(np.arange(n), (len(tied), n))
+        chosen[tied] = _nearest(every, np.abs(src - dst[tied, None]), min(k, n))
+    if k > n:
+        chosen = np.concatenate([chosen, np.repeat(chosen[:, -1:], k - n, axis=1)], axis=1)
+    plan.neighbors = chosen
     return plan
+
+
+def _nearest(cand: np.ndarray, dist: np.ndarray, m: int) -> np.ndarray:
+    """Per row, the m candidates of least distance, earlier columns first
+    among equals, in ascending order."""
+    order = np.argsort(dist, axis=1, kind="stable")[:, :m]
+    return np.sort(np.take_along_axis(cand, order, axis=1), axis=1)
 
 
 def gauss_expand(d: float, mus: np.ndarray) -> np.ndarray:
@@ -221,10 +261,16 @@ def compress(cfg: ResampleConfig, x: np.ndarray, plan: ResamplePlan) -> np.ndarr
 
 def closest_grid_index(plan: ResamplePlan) -> np.ndarray:
     """For each source position, the index of the nearest grid point
-    (ties toward the lower index)."""
-    return np.argmin(
-        np.abs(plan.src_times[:, None] - plan.dst_times[None, :]), axis=1
-    ).astype(np.intp)
+    (ties toward the lower index).
+
+    Grid times are increasing, so the nearest grid point is one of the two
+    either side of the source's ``searchsorted`` position; memory is O(L).
+    """
+    dst = plan.dst_times
+    hi = np.minimum(np.searchsorted(dst, plan.src_times), len(dst) - 1)
+    lo = np.maximum(hi - 1, 0)
+    take_lo = np.abs(plan.src_times - dst[lo]) <= np.abs(plan.src_times - dst[hi])
+    return np.where(take_lo, lo, hi)
 
 
 def decompress(y_bar: np.ndarray, plan: ResamplePlan) -> np.ndarray:

@@ -166,6 +166,7 @@ class TrainResult:
     best_epoch: int
     best_val_loss: float
     best_params: dict
+    best_buffers: dict  # batchnorm running statistics of the best epoch
     final_val: EvalMetrics
 
     def rows(self):
@@ -199,6 +200,7 @@ def _batch_grads(model, batch, cfg, epoch, batch_idx):
         hits5 += _topk_hit(lvals, ex.label, 5)
         for name, leaf in bound.items():
             grads[name] += tape.grad(leaf)
+        tape.release()
     n = len(batch)
     for g in grads.values():
         g /= n
@@ -207,7 +209,7 @@ def _batch_grads(model, batch, cfg, epoch, batch_idx):
 
 def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> TrainResult:
     """Full seeded training run; returns the metric history and keeps a
-    copy of the best-validation-loss weights."""
+    copy of the best-validation-loss weights and batchnorm buffers."""
     train_set, val_set = gen_sparse_task(task)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
     opt = AdamW(model.params, cfg)
@@ -216,6 +218,7 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
     best_val = math.inf
     best_epoch = -1
     best_params = copy.deepcopy(model.params)
+    best_buffers = copy.deepcopy(model.buffers)
     plateau_best = math.inf
     plateau_wait = 0
     lr = cfg.lr
@@ -254,6 +257,7 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
             best_val = val.loss
             best_epoch = epoch
             best_params = copy.deepcopy(model.params)
+            best_buffers = copy.deepcopy(model.buffers)
 
         if cfg.scheduler == "plateau":
             if val.loss < plateau_best:
@@ -267,4 +271,5 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
 
     final_val = evaluate(model, val_set)
     return TrainResult(history=history, best_epoch=best_epoch, best_val_loss=best_val,
-                       best_params=best_params, final_val=final_val)
+                       best_params=best_params, best_buffers=best_buffers,
+                       final_val=final_val)

@@ -135,6 +135,21 @@ class TestTrainEvalCommands:
         want = json.loads((out / "summary.json").read_text())["final_val"]
         assert got == want
 
+    def test_best_checkpoint_reproduces_best_val_loss_under_batchnorm(self, tmp_path):
+        cfg = tmp_path / "bn.cfg"
+        cfg.write_text(SMOKE_TRAIN)
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--seed", "2",
+                     "--set", "model.norm=batchnorm", "--set", "model.norm_position=post_skip",
+                     "--set", "train.epochs=6"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["best_epoch"] < 5  # the running buffers moved after the best epoch
+        eval_out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(out / "checkpoint_best.json"),
+                     "--out", str(eval_out)]) == 0
+        got = json.loads((eval_out / "eval_metrics.json").read_text())
+        assert got["loss"] == summary["best_val_loss"]
+
     def test_malformed_key_names_offender(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model.h_dmi = 8\n")

@@ -2,6 +2,7 @@
 Gaussian basis features, and compress/decompress round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -125,6 +126,99 @@ class TestKnn:
         plan = rs.make_plan(rs.compression_deltas(cfg, x), cfg.delta_base, cfg.window_k)
         for l in range(plan.dst_len - 1):
             assert np.all(plan.neighbors[l + 1] >= plan.neighbors[l])
+
+
+def knn_oracle(plan, k):
+    return np.stack([rs.knn_indices(t, plan.src_times, k) for t in plan.dst_times])
+
+
+def dense_closest(plan):
+    # The L x D distance matrix: argmin returns the first, i.e. lower, index on ties.
+    return np.argmin(np.abs(plan.src_times[:, None] - plan.dst_times[None, :]), axis=1)
+
+
+class TestWindowRouting:
+    """The searchsorted windows of make_plan and closest_grid_index
+    against brute force: knn_indices and the dense argmin."""
+
+    def assert_matches_oracles(self, deltas, delta, k):
+        plan = rs.make_plan(np.asarray(deltas, dtype=np.float64), delta, k)
+        np.testing.assert_array_equal(plan.neighbors, knn_oracle(plan, k))
+        assert plan.neighbors.dtype == np.intp
+        np.testing.assert_array_equal(rs.closest_grid_index(plan), dense_closest(plan))
+        return plan
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.integers(min_value=1, max_value=7),
+        st.floats(min_value=0.05, max_value=1.0),
+        st.sampled_from([1.0, 0.5, 0.3]),
+        st.sampled_from(["uniform", "equal", "lattice"]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_matches_brute_force(self, L, k, kappa, delta, layout, seed):
+        r = np.random.default_rng(seed)
+        if layout == "uniform":
+            deltas = delta * (kappa + (1.0 - kappa) * r.uniform(size=L))
+        elif layout == "equal":
+            deltas = np.full(L, kappa * delta)
+        else:  # dyadic steps: many grid points and sources tie exactly
+            deltas = delta * r.choice([0.25, 0.5, 0.75, 1.0], size=L)
+        self.assert_matches_oracles(deltas, delta, k)
+
+    def test_grid_point_equidistant_from_two_sources(self):
+        # sources 0.5, 0.75, 1.25 around the grid point 1.0: 0.75 and 1.25 tie.
+        plan = self.assert_matches_oracles([0.5, 0.25, 0.5], 1.0, 1)
+        np.testing.assert_array_equal(plan.neighbors, [[1]])
+        plan = self.assert_matches_oracles([0.5, 0.25, 0.5], 1.0, 2)
+        np.testing.assert_array_equal(plan.neighbors, [[1, 2]])
+
+    def test_source_midway_between_grid_points(self):
+        plan = self.assert_matches_oracles(np.full(6, 0.5), 1.0, 2)
+        # sources 1.5 and 2.5 sit midway and go to the lower grid point
+        np.testing.assert_array_equal(rs.closest_grid_index(plan), [0, 0, 0, 1, 1, 2])
+
+    def test_k_beyond_source_count(self):
+        plan = self.assert_matches_oracles([0.6, 0.6], 1.0, 4)
+        np.testing.assert_array_equal(plan.neighbors, [[0, 1, 1, 1]])
+
+    def test_single_grid_point(self):
+        plan = self.assert_matches_oracles(np.full(5, 0.3), 1.0, 2)
+        assert plan.dst_len == 1
+        np.testing.assert_array_equal(plan.neighbors, [[2, 3]])
+        np.testing.assert_array_equal(rs.closest_grid_index(plan), np.zeros(5))
+
+    def test_kappa_one_grid_equals_sources(self):
+        L, k = 9, 3
+        plan = self.assert_matches_oracles(np.full(L, 0.5), 0.5, k)
+        np.testing.assert_array_equal(rs.closest_grid_index(plan), np.arange(L))
+        # the exact hit, then the lower of the two tied neighbours, then the upper
+        want = [[0, 1, 2]] + [[l - 1, l, l + 1] for l in range(1, L - 1)] + [[L - 3, L - 2, L - 1]]
+        np.testing.assert_array_equal(plan.neighbors, want)
+
+    def test_equal_source_times(self):
+        # Intervals far below one ulp of the running time leave equal
+        # source times, so ties reach past the window's earlier edge.
+        r = np.random.default_rng(30)
+        for _ in range(50):
+            L = int(r.integers(2, 40))
+            deltas = np.where(r.uniform(size=L) < 0.4, 1e-18, r.uniform(0.2, 1.0, size=L))
+            self.assert_matches_oracles(deltas, 1.0, int(r.integers(1, 6)))
+
+    def test_copy_back_memory_is_linear(self):
+        # L = 16384 is the LRA Path-X length; an L x D distance matrix there
+        # takes about 1 GB.
+        L = 16384
+        deltas = 0.5 + 0.5 * np.random.default_rng(31).uniform(size=L)
+        plan = rs.build_grid(deltas, 1.0)
+        tracemalloc.start()
+        try:
+            rs.closest_grid_index(plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestGaussExpand:

@@ -1,10 +1,13 @@
 """Tests for the optimizer, metrics, and the seeded training loop."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from ressm import autodiff as ad
 from ressm import network as net
 from ressm import tasks, training
 
@@ -204,3 +207,28 @@ class TestTrainLoop:
         result = training.train(model, t, cfg)
         assert 0 <= result.best_epoch < cfg.epochs
         assert set(result.best_params) == set(model.params)
+
+
+class TestTapeLifetime:
+    def test_each_tape_is_freed_without_the_cyclic_collector(self, monkeypatch):
+        tapes = []
+
+        class WatchedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", WatchedTape)
+        t = tasks.SparseSignalTask(seq_len=12, n_train=4, n_val=2, seed=28)
+        model = net.ResampleNetwork(tiny_spec(vocab=t.vocab_size, n_classes=4), seed=29)
+        train_set, _ = tasks.gen_sparse_task(t)
+        cfg = training.TrainConfig(batch_size=4)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            training._batch_grads(model, train_set, cfg, 0, 0)
+            assert len(tapes) == len(train_set)
+            assert all(ref() is None for ref in tapes)
+        finally:
+            if was_enabled:
+                gc.enable()
