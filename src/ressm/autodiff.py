@@ -241,10 +241,6 @@ class Tape:
         self.grads = None
 
 
-def backward(tape: Tape, root: Tensor) -> None:
-    tape.backward(root)
-
-
 # ---------------------------------------------------------------------------
 # op plumbing
 

@@ -221,10 +221,13 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     if not os.path.exists(args.checkpoint):
         raise CliError(f"checkpoint {args.checkpoint!r} does not exist")
-    out = _prepare_out(args.out, args.force)
-    model, extra = load_checkpoint(args.checkpoint)
+    try:
+        model, extra = load_checkpoint(args.checkpoint)
+    except ValueError as e:  # also malformed JSON
+        raise CliError(f"bad checkpoint {args.checkpoint!r}: {e}") from e
     if "task" not in extra:
         raise CliError("checkpoint carries no task description to evaluate on")
+    out = _prepare_out(args.out, args.force)
     task = SparseSignalTask(**extra["task"])
     _, val = gen_sparse_task(task)
     metrics = evaluate(model, val)

@@ -15,6 +15,7 @@ tape at most once; gradients are read back per name after backward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ __all__ = [
     "BlockSpec",
     "NetworkSpec",
     "ResampleNetwork",
+    "weight_layout",
     "rmsnorm",
     "batchnorm",
     "softplus_inv",
@@ -299,6 +301,63 @@ def batchnorm(
 # the model
 
 
+def _mode_ladder(w: int, n: int) -> np.ndarray:
+    # One decaying mode ladder per channel: a = -exp(rho) = -(1..N).
+    return np.tile(np.log(np.arange(1, n + 1.0)), (w, 1))
+
+
+def weight_layout(spec: NetworkSpec):
+    """Every array a model of ``spec`` holds, in init order.
+
+    Yields (kind, name, shape, init): kind is "param" or "buffer"; init
+    is an int fan-in, meaning a uniform draw in +-1/sqrt(fan_in), or a
+    no-argument function returning the fixed initial array.  Nothing is
+    drawn or built here, so a loader checks a checkpoint's names and
+    shapes at the cost of the names alone.
+    """
+    H = spec.h_dim
+    if spec.vocab_size is not None:
+        yield "param", "embed.table", (spec.vocab_size, H), H
+    else:
+        yield "param", "input.w", (spec.input_dim, H), spec.input_dim
+
+    widths = spec.branch_widths()
+    for i in range(spec.depth):
+        blk = f"block{i}."
+        if spec.block.norm_kind == "rmsnorm":
+            yield "param", blk + "norm.gain", (H,), partial(np.ones, H)
+        elif spec.block.norm_kind == "batchnorm":
+            yield "param", blk + "norm.gamma", (H,), partial(np.ones, H)
+            yield "param", blk + "norm.beta", (H,), partial(np.zeros, H)
+            yield "buffer", blk + "norm.running_mean", (H,), partial(np.zeros, H)
+            yield "buffer", blk + "norm.running_var", (H,), partial(np.ones, H)
+        for b, br in enumerate(spec.block.branches):
+            pre = f"{blk}br{b}."
+            w = widths[b]
+            n = br.n_state
+            if br.kappa is not None:
+                rows = br.window_k * (w + br.basis_g)
+                yield "param", pre + "res.theta_delta", (w,), w
+                yield "param", pre + "res.raw_delta", (), partial(np.array, softplus_inv(1.0))
+                yield "param", pre + "res.theta_gamma", (rows, w), rows
+                yield ("param", pre + "res.mus", (br.basis_g,),
+                       partial(np.linspace, -br.window_k, br.window_k, br.basis_g))
+            yield "param", pre + "ssm.rho", (w, n), partial(_mode_ladder, w, n)
+            if br.selective:
+                yield "param", pre + "ssm.theta_b", (w, n), w
+                yield "param", pre + "ssm.theta_c", (w, n), w
+                yield "param", pre + "ssm.theta_delta", (w,), w
+                yield "param", pre + "ssm.delta_base", (), partial(np.array, 0.0)
+            else:
+                yield "param", pre + "ssm.b", (n,), partial(np.ones, n)
+                yield "param", pre + "ssm.c", (n,), n
+                yield "param", pre + "ssm.raw_delta", (), partial(np.array, 0.0)
+
+    n_out = spec.n_classes if spec.head_kind == "classification" else spec.vocab_size
+    yield "param", "head.w", (H, n_out), H
+    yield "param", "head.b", (n_out,), partial(np.zeros, n_out)
+
+
 class _Binder:
     """Binds each named weight to the tape at most once per pass."""
 
@@ -331,56 +390,13 @@ class ResampleNetwork:
     # -- init ---------------------------------------------------------------
 
     def _init_params(self, rng: np.random.Generator):
-        spec = self.spec
-        H = spec.h_dim
-
-        def uniform(shape, fan_in):
-            s = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-s, s, size=shape)
-
-        if spec.vocab_size is not None:
-            self.params["embed.table"] = uniform((spec.vocab_size, H), H)
-        else:
-            self.params["input.w"] = uniform((spec.input_dim, H), spec.input_dim)
-
-        widths = spec.branch_widths()
-        for i in range(spec.depth):
-            blk = f"block{i}."
-            if spec.block.norm_kind == "rmsnorm":
-                self.params[blk + "norm.gain"] = np.ones(H)
-            elif spec.block.norm_kind == "batchnorm":
-                self.params[blk + "norm.gamma"] = np.ones(H)
-                self.params[blk + "norm.beta"] = np.zeros(H)
-                self.buffers[blk + "norm.running_mean"] = np.zeros(H)
-                self.buffers[blk + "norm.running_var"] = np.ones(H)
-            for b, br in enumerate(spec.block.branches):
-                pre = f"{blk}br{b}."
-                w = widths[b]
-                n = br.n_state
-                if br.kappa is not None:
-                    rows = br.window_k * (w + br.basis_g)
-                    self.params[pre + "res.theta_delta"] = uniform(w, w)
-                    self.params[pre + "res.raw_delta"] = np.array(softplus_inv(1.0))
-                    self.params[pre + "res.theta_gamma"] = uniform((rows, w), rows)
-                    self.params[pre + "res.mus"] = np.linspace(-br.window_k, br.window_k, br.basis_g)
-                # One decaying mode ladder per channel: a = -exp(rho) = -(1..N).
-                self.params[pre + "ssm.rho"] = np.tile(np.log(np.arange(1, n + 1.0)), (w, 1))
-                if br.selective:
-                    self.params[pre + "ssm.theta_b"] = uniform((w, n), w)
-                    self.params[pre + "ssm.theta_c"] = uniform((w, n), w)
-                    self.params[pre + "ssm.theta_delta"] = uniform(w, w)
-                    self.params[pre + "ssm.delta_base"] = np.array(0.0)
-                else:
-                    self.params[pre + "ssm.b"] = np.ones(n)
-                    self.params[pre + "ssm.c"] = uniform(n, n)
-                    self.params[pre + "ssm.raw_delta"] = np.array(0.0)
-
-        if spec.head_kind == "classification":
-            self.params["head.w"] = uniform((H, spec.n_classes), H)
-            self.params["head.b"] = np.zeros(spec.n_classes)
-        else:
-            self.params["head.w"] = uniform((H, spec.vocab_size), H)
-            self.params["head.b"] = np.zeros(spec.vocab_size)
+        for kind, name, shape, init in weight_layout(self.spec):
+            if callable(init):
+                value = init()
+            else:
+                s = 1.0 / np.sqrt(init)
+                value = rng.uniform(-s, s, size=shape)
+            (self.params if kind == "param" else self.buffers)[name] = value
 
     # -- forward ------------------------------------------------------------
 

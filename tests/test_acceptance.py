@@ -7,6 +7,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from ressm import autodiff as ad
 from ressm import checkpoint as ckpt
@@ -253,6 +254,7 @@ def test_criterion_7_init_fidelity():
               f"normality residual {worst_norm:.1e}")
 
 
+@pytest.mark.slow
 def test_criterion_8_desk_scale_learning():
     t0 = time.perf_counter()
     task = tasks.SparseSignalTask(seq_len=256, n_informative=4, n_classes=4,

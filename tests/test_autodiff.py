@@ -6,6 +6,7 @@ which never touches the analytic rules it is checking).
 """
 
 import math
+import zlib
 
 import mpmath
 import numpy as np
@@ -79,7 +80,7 @@ class TestElementwise:
 
     @pytest.mark.parametrize("kind", ["exp", "expm1", "log1p", "sigmoid", "softplus", "neg", "recip", "sqrt"])
     def test_unary_gradients_vs_finite_differences(self, kind):
-        r = rng(hash(kind) % 2**32)
+        r = rng(zlib.crc32(kind.encode()))
         for _ in range(10):
             x = r.uniform(0.3, 2.0, size=4)  # positive keeps recip/sqrt/log1p in domain
             err = ad.grad_check(lambda t: ad.reduce_sum(ad.elementwise(kind, t)), x)

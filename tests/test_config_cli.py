@@ -3,13 +3,17 @@
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from ressm import config as cfgmod
+from ressm import network as net
+from ressm.checkpoint import load_checkpoint, save_checkpoint
 from ressm.cli import main
 from ressm.serialize import dumps_json, fmt_float
+from ressm.tasks import SparseSignalTask
 
 
 SMOKE_TRAIN = """
@@ -161,6 +165,59 @@ class TestTrainEvalCommands:
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "y")])
         assert code == 2
+
+
+def _small_checkpoint(path):
+    """A valid eval-ready checkpoint of a tiny token model."""
+    task = SparseSignalTask(seq_len=16, n_train=4, n_val=4, seed=1)
+    spec = net.NetworkSpec(
+        depth=1, h_dim=4,
+        block=net.BlockSpec(branches=[net.BranchSpec(kappa=None), net.BranchSpec(kappa=0.5)],
+                            norm_kind="rmsnorm", norm_position="pre"),
+        n_classes=task.n_classes, vocab_size=task.vocab_size)
+    save_checkpoint(path, net.ResampleNetwork(spec, seed=3), extra={"task": asdict(task)})
+    return json.loads(path.read_text())
+
+
+def _drop_gain(doc):
+    del doc["params"]["block0.norm.gain"]
+
+
+def _widen_bias(doc):
+    doc["params"]["head.b"] = {"shape": [5], "data": [0.0] * 5}
+
+
+def _nan_bias(doc):
+    doc["params"]["head.b"]["data"][1] = float("nan")
+
+
+def _extra_weight(doc):
+    doc["params"]["head.extra"] = {"shape": [1], "data": [0.0]}
+
+
+class TestCheckpointValidation:
+    def test_valid_checkpoint_evaluates(self, tmp_path):
+        path = tmp_path / "ok.json"
+        _small_checkpoint(path)
+        assert main(["eval", "--checkpoint", str(path), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("corrupt, key", [
+        (_drop_gain, "block0.norm.gain"),
+        (_widen_bias, "head.b"),
+        (_nan_bias, "head.b"),
+        (_extra_weight, "head.extra"),
+    ])
+    def test_bad_weights_are_usage_errors_before_output(self, tmp_path, capsys, corrupt, key):
+        path = tmp_path / "bad.json"
+        doc = _small_checkpoint(path)
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match=repr(key)):
+            load_checkpoint(path)
 
 
 class TestDumpKernel:

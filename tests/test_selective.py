@@ -1,6 +1,7 @@
 """Tests for input-dependent scan parameters and the fused scan op."""
 
 import math
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -102,7 +103,7 @@ class TestSsmScan:
 
     @pytest.mark.parametrize("which", ["a", "deltas", "b_seq", "c_seq", "u"])
     def test_gradients_vs_finite_differences(self, which):
-        r = np.random.default_rng(hash(which) % 2**32)
+        r = np.random.default_rng(zlib.crc32(which.encode()))
         T, W, N = 6, 2, 3
         base = {
             "a": -r.uniform(0.3, 1.5, size=(W, N)),
@@ -121,6 +122,101 @@ class TestSsmScan:
             return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
 
         assert ad.grad_check(f, base[which]) < 1e-4
+
+    @pytest.mark.parametrize("which", ["a", "deltas", "b_seq", "c_seq", "u"])
+    def test_gradients_across_doubling_levels(self, which):
+        # T = 37 runs six doubling levels forward and back, the last partial.
+        r = np.random.default_rng(zlib.crc32(which.encode()) + 37)
+        T, W, N = 37, 2, 3
+        base = {
+            "a": -r.uniform(0.3, 1.5, size=(W, N)),
+            "deltas": r.uniform(0.1, 0.6, size=T),
+            "b_seq": r.normal(size=(T, N)),
+            "c_seq": r.normal(size=(T, N)),
+            "u": r.normal(size=(T, W)),
+        }
+        weight = r.normal(size=(T, W))
+
+        def f(t):
+            args = dict(base)
+            args[which] = t
+            y = selective.ssm_scan(args["a"], args["deltas"], args["b_seq"],
+                                   args["c_seq"], args["u"])
+            return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
+
+        assert ad.grad_check(f, base[which]) < 1e-4
+
+
+# Lengths at and just past powers of two end a doubling pass exactly or
+# leave one row for a last, partial level.
+_EDGE_LENGTHS = [2**k for k in range(10)] + [2**k + 1 for k in range(10)]
+
+
+class TestDoublingScanOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        T=st.one_of(st.integers(1, 600), st.sampled_from([n for n in _EDGE_LENGTHS if n <= 600])),
+        W=st.integers(1, 3),
+        N=st.integers(1, 4),
+        zero_frac=st.sampled_from([0.0, 0.2, 1.0]),
+        flush=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_varying_scan_per_channel(self, T, W, N, zero_frac, flush, seed):
+        r = np.random.default_rng(seed)
+        a = -r.uniform(0.1, 3.0, size=(W, N))
+        deltas = r.uniform(0.0, 1.0, size=T)
+        deltas[r.random(T) < zero_frac] = 0.0  # exact identity steps
+        if flush:
+            # A fast mode and long steps: a few decays multiply to below
+            # the flush floor, and exp(-50 * 20) underflows outright.
+            a[0, 0] = -50.0
+            deltas[r.random(T) < 0.3] = 20.0
+        b_seq = r.normal(size=(T, N))
+        c_seq = r.normal(size=(T, N))
+        u = r.normal(size=(T, W))
+        y = selective.ssm_scan(a, deltas, b_seq, c_seq, u).numpy()
+        for w in range(W):
+            want, _ = ssm.varying_scan(deltas, a[w], b_seq, c_seq, u[:, w])
+            assert np.all(np.abs(y[:, w] - want) <= 1e-12 * np.abs(want).max())
+
+
+def _phi_masked(z):
+    small = np.abs(z) < ssm.PHI_TAYLOR_CUTOFF
+    out = np.empty_like(z)
+    zs = z[small]
+    out[small] = 1.0 + zs / 2.0 + zs * zs / 6.0
+    zb = z[~small]
+    out[~small] = np.expm1(zb) / zb
+    return out
+
+
+def _phi_prime_masked(z):
+    small = np.abs(z) < 1e-3
+    out = np.empty_like(z)
+    zs = z[small]
+    out[small] = 0.5 + zs / 3.0 + zs * zs / 8.0 + zs**3 / 30.0
+    zb = z[~small]
+    out[~small] = (np.exp(zb) * (zb - 1.0) + 1.0) / (zb * zb)
+    return out
+
+
+class TestPhiDirectThenPatch:
+    def test_bit_identical_to_masked_forms(self):
+        cut = ssm.PHI_TAYLOR_CUTOFF
+        edges = [0.0, -0.0, 1e-300, -1e-300, cut, -cut, 1e-3, -1e-3, 700.0, -700.0, -1e4, 1.0]
+        edges += [np.nextafter(c, t) for c in (cut, -cut, 1e-3, -1e-3) for t in (0.0, 2 * c)]
+        r = np.random.default_rng(5)
+        z = np.concatenate([edges, r.uniform(-2e-3, 2e-3, 500), -r.exponential(3.0, 500)])
+        for shape in [(len(z),), (len(z) // 4, 4)]:
+            zz = z[: int(np.prod(shape))].reshape(shape)
+            np.testing.assert_array_equal(ssm.phi(zz), _phi_masked(zz))
+            np.testing.assert_array_equal(ssm.phi_prime(zz), _phi_prime_masked(zz))
+
+    def test_no_small_entries(self):
+        z = -np.linspace(0.5, 30.0, 64)
+        np.testing.assert_array_equal(ssm.phi(z), _phi_masked(z))
+        np.testing.assert_array_equal(ssm.phi_prime(z), _phi_prime_masked(z))
 
 
 class TestSelectiveScan:
