@@ -5,7 +5,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .linearity import LeaveOneOutInstance, LinearityReport, linearity_sweep
 from .network import BlockSpec, BranchSpec, NetworkSpec, ResampleNetwork
 from .resample import ResampleConfig, ResamplePlan, compress, decompress
-from .selective import SelectiveHead, selective_scan, ssm_scan
+from .selective import ssm_scan
 from .ssm import DiscreteStep, SsmParams, lti_scan, varying_scan, zoh_discretize
 from .tasks import SparseSignalTask, gen_sparse_task
 from .training import AdamW, EvalMetrics, TrainConfig, evaluate, train
@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Tape", "Tensor", "grad_check",
     "SsmParams", "DiscreteStep", "zoh_discretize", "lti_scan", "varying_scan",
-    "SelectiveHead", "selective_scan", "ssm_scan",
+    "ssm_scan",
     "ResampleConfig", "ResamplePlan", "compress", "decompress",
     "BranchSpec", "BlockSpec", "NetworkSpec", "ResampleNetwork",
     "save_checkpoint", "load_checkpoint",

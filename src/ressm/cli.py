@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +27,7 @@ from .ssm import SsmParams, conv_kernel, zoh_discretize
 from .tasks import SparseSignalTask, gen_sparse_task
 from .training import TrainConfig, TrainingDiverged, evaluate, train
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    """Everything one invocation needs: picked apart from the CLI flags."""
-
-    command: str
-    config_path: str | None
-    seed: int
-    out_dir: str
-    force: bool
-    overrides: list[str]
+__all__ = ["main"]
 
 
 class CliError(Exception):
@@ -293,6 +280,8 @@ def _load_sequence(path) -> np.ndarray:
         raise CliError(f"input file {path} does not hold a numeric matrix") from e
     if x.ndim != 2 or x.size == 0:
         raise CliError("input must be a non-empty [length, width] matrix")
+    if not np.all(np.isfinite(x)):
+        raise CliError(f"input file {path} holds a non-finite entry")
     return x
 
 

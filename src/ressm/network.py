@@ -22,6 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import resample as rs
 from .selective import ssm_scan
+from .ssm import diag_init
 
 __all__ = [
     "BranchSpec",
@@ -33,7 +34,6 @@ __all__ = [
     "batchnorm",
     "softplus_inv",
     "classification_preset",
-    "next_token_preset",
 ]
 
 RMSNORM_EPS = 1e-8
@@ -100,12 +100,13 @@ class BlockSpec:
 @dataclass
 class NetworkSpec:
     """Architecture description; enough to rebuild a model from a
-    checkpoint.  Token models set vocab_size, feature models input_dim."""
+    checkpoint.  Token models set vocab_size, feature models input_dim.
+    ``head_kind`` has one value, "classification"; checkpoints record it."""
 
     depth: int
     h_dim: int
     block: BlockSpec
-    head_kind: str = "classification"  # classification | next_token
+    head_kind: str = "classification"
     n_classes: int | None = None
     vocab_size: int | None = None
     input_dim: int | None = None
@@ -114,16 +115,14 @@ class NetworkSpec:
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be at least 1")
-        if self.head_kind not in ("classification", "next_token"):
+        if self.head_kind != "classification":
             raise ValueError(f"unknown head kind '{self.head_kind}'")
         if self.pooling not in ("mean", "last"):
             raise ValueError(f"unknown pooling '{self.pooling}'")
         if (self.vocab_size is None) == (self.input_dim is None):
             raise ValueError("set exactly one of vocab_size or input_dim")
-        if self.head_kind == "classification" and not self.n_classes:
+        if not self.n_classes:
             raise ValueError("classification head needs n_classes")
-        if self.head_kind == "next_token" and self.vocab_size is None:
-            raise ValueError("next_token head needs a token vocabulary")
 
     def branch_widths(self) -> list[int]:
         """Even channel split; the remainder goes to the first branch."""
@@ -180,22 +179,6 @@ def classification_preset(depth: int, n_classes: int, vocab_size: int | None = N
         block=BlockSpec(branches=branches, norm_kind="batchnorm", norm_position="post_skip"),
         head_kind="classification", n_classes=n_classes,
         vocab_size=vocab_size, input_dim=input_dim, pooling="mean",
-    )
-
-
-def next_token_preset(vocab_size: int, depth: int = 8, h_dim: int = 510,
-                      compressions: tuple = (0.5, 0.1), window_k: int = 4,
-                      n_state: int = 4, basis_g: int = 8) -> NetworkSpec:
-    """Language-model defaults: three parallel branches (base plus two
-    compression rates) over an evenly split width, RMS normalisation
-    before each block."""
-    branches = [BranchSpec(kappa=None, n_state=n_state, window_k=window_k, basis_g=basis_g)]
-    branches += [BranchSpec(kappa=k, n_state=n_state, window_k=window_k, basis_g=basis_g)
-                 for k in compressions]
-    return NetworkSpec(
-        depth=depth, h_dim=h_dim,
-        block=BlockSpec(branches=branches, norm_kind="rmsnorm", norm_position="pre"),
-        head_kind="next_token", vocab_size=vocab_size,
     )
 
 
@@ -303,7 +286,7 @@ def batchnorm(
 
 def _mode_ladder(w: int, n: int) -> np.ndarray:
     # One decaying mode ladder per channel: a = -exp(rho) = -(1..N).
-    return np.tile(np.log(np.arange(1, n + 1.0)), (w, 1))
+    return np.tile(np.log(-diag_init(n)), (w, 1))
 
 
 def weight_layout(spec: NetworkSpec):
@@ -353,9 +336,8 @@ def weight_layout(spec: NetworkSpec):
                 yield "param", pre + "ssm.c", (n,), n
                 yield "param", pre + "ssm.raw_delta", (), partial(np.array, 0.0)
 
-    n_out = spec.n_classes if spec.head_kind == "classification" else spec.vocab_size
-    yield "param", "head.w", (H, n_out), H
-    yield "param", "head.b", (n_out,), partial(np.zeros, n_out)
+    yield "param", "head.w", (H, spec.n_classes), H
+    yield "param", "head.b", (spec.n_classes,), partial(np.zeros, spec.n_classes)
 
 
 class _Binder:
@@ -374,7 +356,7 @@ class _Binder:
 
 
 class ResampleNetwork:
-    """Stack of multi-rate blocks with an embedding and a task head."""
+    """Stack of multi-rate blocks with an embedding and a classification head."""
 
     def __init__(self, spec: NetworkSpec, seed: int = 0,
                  params: dict | None = None, buffers: dict | None = None):
@@ -422,6 +404,8 @@ class ResampleNetwork:
         """Forward one block in isolation on an [L, H] input."""
         bind = _Binder(self.params, tape)
         x_t = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
+        if x_t.ndim != 2 or x_t.shape[1] != self.spec.h_dim:
+            raise ValueError(f"expected [L, {self.spec.h_dim}] block input, got {x_t.shape}")
         out = self._block(index, x_t, bind, train)
         return (out, bind.bound) if tape is not None else out
 
@@ -471,19 +455,11 @@ class ResampleNetwork:
 
     def _branch(self, i, b, br: BranchSpec, width, xb, bind):
         pre = f"block{i}.br{b}."
-        L = xb.shape[0]
         if br.kappa is None:
             return self._ssm_layer(pre, br, width, xb, bind)
 
-        # Learned intervals bounded inside (kappa * delta, delta].
         delta_base = ad.softplus(bind(pre + "res.raw_delta"))
-        pre_act = ad.reshape(
-            ad.matmul(xb, ad.reshape(bind(pre + "res.theta_delta"), (width, 1))), (L,)
-        )
-        deltas = ad.add(
-            ad.mul(ad.sigmoid(pre_act), ad.mul(delta_base, 1.0 - br.kappa)),
-            ad.mul(delta_base, br.kappa),
-        )
+        deltas = rs.interval_map(xb, bind(pre + "res.theta_delta"), delta_base, br.kappa)
         plan = rs.make_plan(deltas.data, float(delta_base.data), br.window_k)
         src_times = ad.cumsum(deltas)
         dst_times = ad.mul(
@@ -515,10 +491,6 @@ class ResampleNetwork:
 
     def _head(self, t, bind):
         spec = self.spec
-        if spec.head_kind == "next_token":
-            logits = ad.matmul(t, bind("head.w"))
-            bias = ad.tile_rows(bind("head.b"), t.shape[0])
-            return ad.add(logits, bias)
         if spec.pooling == "mean":
             pooled = ad.reduce_mean(t, axis=0)
         else:

@@ -10,7 +10,10 @@ its closest grid point.
 
 Neighbor selection and the copy-back argmin are frozen integer routing;
 gradients flow through feature values, the mixing map, the basis means,
-and the time axes (hence into the interval map).
+and the time axes (hence into the interval map).  Each step has one
+implementation, a tape op (``interval_map``, ``compress_tracked``,
+``decompress_tracked``) that the network runs; ``compression_deltas``,
+``compress`` and ``decompress`` are those ops run on numpy constants.
 
 Both routings rest on one property: source times and grid times are
 increasing, so distance to a fixed time falls up to its ``searchsorted``
@@ -18,8 +21,9 @@ position and rises after it.  The K nearest sources of a grid point are
 then one contiguous run within K places of that position, and the
 nearest grid point of a source is one of the two around it.  Routing
 therefore costs O((L + D K) log L) time and O(L + D K) memory, where a
-sort per grid point or a distance matrix over all pairs cost O(L D).  ``knn_indices`` is the brute-force definition, kept as
-the oracle the tests hold both fast paths to, bit for bit.
+sort per grid point or a distance matrix over all pairs cost O(L D).
+``knn_indices`` is the brute-force definition, kept as the oracle the
+tests hold both fast paths to, bit for bit.
 """
 
 from __future__ import annotations
@@ -34,11 +38,11 @@ __all__ = [
     "ResampleConfig",
     "ResamplePlan",
     "init_resample_config",
+    "interval_map",
     "compression_deltas",
     "build_grid",
     "knn_indices",
     "make_plan",
-    "gauss_expand",
     "compress",
     "decompress",
     "closest_grid_index",
@@ -138,20 +142,30 @@ def init_resample_config(
     )
 
 
-def compression_deltas(cfg: ResampleConfig, x: np.ndarray) -> np.ndarray:
-    """Per-position intervals sigmoid(theta . x) * delta * (1 - kappa)
-    + kappa * delta, strictly inside (kappa delta, delta) for kappa < 1.
+def interval_map(x_t: ad.Tensor, theta_delta_t: ad.Tensor, delta_t: ad.Tensor,
+                 kappa: float) -> ad.Tensor:
+    """Per-position intervals sigmoid(x . theta_delta) * delta (1 - kappa)
+    + delta kappa for [L, W] features, a [W] map and a scalar delta.
+
+    The [L] result lies strictly inside (kappa delta, delta) for
+    kappa < 1 and equals delta everywhere for kappa = 1.
     """
+    L, width = x_t.shape
+    pre_act = ad.reshape(ad.matmul(x_t, ad.reshape(theta_delta_t, (width, 1))), (L,))
+    return ad.add(
+        ad.mul(ad.sigmoid(pre_act), ad.mul(delta_t, 1.0 - kappa)),
+        ad.mul(delta_t, kappa),
+    )
+
+
+def compression_deltas(cfg: ResampleConfig, x: np.ndarray) -> np.ndarray:
+    """``interval_map`` of a resampler's weights on an [L, W] array."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != cfg.width:
         raise ValueError(f"expected [L, {cfg.width}] features, got {x.shape}")
-    pre = x @ cfg.theta_delta
-    sig = np.empty_like(pre)
-    pos = pre >= 0
-    sig[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
-    e = np.exp(pre[~pos])
-    sig[~pos] = e / (1.0 + e)
-    return sig * cfg.delta_base * (1.0 - cfg.kappa) + cfg.kappa * cfg.delta_base
+    deltas = interval_map(ad.constant(x), ad.constant(cfg.theta_delta),
+                          ad.constant(cfg.delta_base), cfg.kappa)
+    return np.array(deltas.numpy())
 
 
 def build_grid(deltas: np.ndarray, delta_base: float) -> ResamplePlan:
@@ -231,32 +245,15 @@ def _nearest(cand: np.ndarray, dist: np.ndarray, m: int) -> np.ndarray:
     return np.sort(np.take_along_axis(cand, order, axis=1), axis=1)
 
 
-def gauss_expand(d: float, mus: np.ndarray) -> np.ndarray:
-    """Encode a signed time difference as exp(-(d - mu_i)^2) per basis mean."""
-    mus = np.asarray(mus, dtype=np.float64)
-    diff = d - mus
-    return np.exp(-diff * diff)
-
-
 def compress(cfg: ResampleConfig, x: np.ndarray, plan: ResamplePlan) -> np.ndarray:
-    """Interpolate each grid point from its neighbor window.
-
-    Row l of the feature matrix is the neighbor blocks in ascending time
-    order, each block [x_k, basis(dst_l - t_k)], mixed by theta_gamma.
-    """
+    """``compress_tracked`` of a resampler's weights on an [L, W] array."""
     x = np.asarray(x, dtype=np.float64)
-    if plan.neighbors is None:
-        raise ValueError("plan has no neighbor windows; use make_plan")
-    if len(x) != len(plan.src_times):
-        raise ValueError("sequence length does not match the plan")
-    if x.shape[1] != cfg.width:
-        raise ValueError(f"expected width {cfg.width}, got {x.shape[1]}")
-    xg = x[plan.neighbors]  # [dst_len, K, W]
-    d = plan.dst_times[:, None] - plan.src_times[plan.neighbors]  # [dst_len, K]
-    diff = d[:, :, None] - cfg.mus[None, None, :]
-    eps = np.exp(-diff * diff)  # [dst_len, K, G]
-    feats = np.concatenate([xg, eps], axis=2).reshape(plan.dst_len, -1)
-    return feats @ cfg.theta_gamma
+    if x.ndim != 2 or x.shape[1] != cfg.width:
+        raise ValueError(f"expected [L, {cfg.width}] features, got {x.shape}")
+    out = compress_tracked(ad.constant(x), plan, ad.constant(cfg.theta_gamma),
+                           ad.constant(cfg.mus), ad.constant(plan.src_times),
+                           ad.constant(plan.dst_times))
+    return np.array(out.numpy())
 
 
 def closest_grid_index(plan: ResamplePlan) -> np.ndarray:
@@ -274,11 +271,8 @@ def closest_grid_index(plan: ResamplePlan) -> np.ndarray:
 
 
 def decompress(y_bar: np.ndarray, plan: ResamplePlan) -> np.ndarray:
-    """Copy each original position's value from its closest grid point."""
-    y_bar = np.asarray(y_bar, dtype=np.float64)
-    if len(y_bar) != plan.dst_len:
-        raise ValueError(f"expected {plan.dst_len} rows, got {len(y_bar)}")
-    return y_bar[closest_grid_index(plan)]
+    """``decompress_tracked`` on a [dst_len, ...] array."""
+    return np.array(decompress_tracked(ad.constant(y_bar), plan).numpy())
 
 
 def center_copy_gamma(width: int, basis_g: int) -> np.ndarray:
@@ -291,7 +285,7 @@ def center_copy_gamma(width: int, basis_g: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tape versions (frozen routing from a plan, differentiable values)
+# tape ops (frozen routing from a plan, differentiable values)
 
 
 def compress_tracked(
@@ -302,11 +296,18 @@ def compress_tracked(
     src_times_t: ad.Tensor,
     dst_times_t: ad.Tensor,
 ) -> ad.Tensor:
-    """Differentiable compress: gradients reach the inputs, the mixing
-    map, the basis means, and both time axes; neighbor windows stay
-    frozen integer routing from the plan."""
+    """Interpolate each grid point from its neighbor window.
+
+    Row l of the feature matrix is the neighbor blocks in ascending time
+    order, each block [x_k, exp(-(dst_l - t_k - mus)^2)], mixed by
+    theta_gamma.  Gradients reach the inputs, the mixing map, the basis
+    means, and both time axes; neighbor windows stay frozen integer
+    routing from the plan.
+    """
     if plan.neighbors is None:
         raise ValueError("plan has no neighbor windows; use make_plan")
+    if x_t.shape[0] != len(plan.src_times):
+        raise ValueError("sequence length does not match the plan")
     n_dst, window_k = plan.neighbors.shape
     basis_g = mus_t.size
     parts = []
@@ -323,6 +324,8 @@ def compress_tracked(
 
 
 def decompress_tracked(y_bar_t: ad.Tensor, plan: ResamplePlan) -> ad.Tensor:
-    """Copy-closest as a gather; the backward pass scatter-adds each
-    original position's gradient onto its grid point."""
+    """Copy each original position's value from its closest grid point;
+    the backward pass scatter-adds each position's gradient onto it."""
+    if y_bar_t.shape[0] != plan.dst_len:
+        raise ValueError(f"expected {plan.dst_len} rows, got {y_bar_t.shape[0]}")
     return ad.gather_rows(y_bar_t, closest_grid_index(plan))

@@ -1,13 +1,11 @@
-"""Input-dependent SSM parameterization and the differentiable scan.
+"""The fused selective scan op.
 
-The reference point the resampling architecture modifies: per step, the
-input vector determines the state input/output maps and the time
-interval, and the interval drives the per-step discretization.
-
-``ssm_scan`` is the workhorse: a single tape op running the recurrence
-over all steps and channels in numpy, with a hand-written backward pass.
-Keeping the whole scan in one node makes sequence training tractable
-without giving up exact reverse-mode gradients.
+``ssm_scan`` runs the recurrence of a bank of diagonal SSMs whose input
+map, output map and time interval vary per step, as one tape node with
+a hand-written backward pass.  The network computes those per-step
+parameters from its features (``network.ResampleNetwork``) and hands
+them to this op; keeping the whole scan in one node makes sequence
+training tractable without giving up exact reverse-mode gradients.
 
 Both the forward recurrence and the backward adjoint recurrence are
 first-order linear scans, h_t = decay_t h_{t-1} + drive_t.  They run by
@@ -22,102 +20,12 @@ outputs match ``ssm.varying_scan`` to rounding, not bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
-from .ssm import diag_init, phi, phi_prime
+from .ssm import phi, phi_prime
 
-__all__ = [
-    "SelectiveHead",
-    "init_selective_head",
-    "selective_params",
-    "selective_scan",
-    "cumulative_times",
-    "ssm_scan",
-]
-
-
-@dataclass
-class SelectiveHead:
-    """Weights mapping an H-dim feature vector to per-step scan params.
-
-    theta_b, theta_c: [H, N] input/output maps; theta_delta: [H] scalar
-    interval map; delta_base: learnable offset inside the softplus;
-    a_diag: [N] fixed negative diagonal.
-    """
-
-    theta_b: np.ndarray
-    theta_c: np.ndarray
-    theta_delta: np.ndarray
-    delta_base: float
-    a_diag: np.ndarray
-
-    def __post_init__(self):
-        self.theta_b = np.asarray(self.theta_b, dtype=np.float64)
-        self.theta_c = np.asarray(self.theta_c, dtype=np.float64)
-        self.theta_delta = np.asarray(self.theta_delta, dtype=np.float64).reshape(-1)
-        self.a_diag = np.asarray(self.a_diag, dtype=np.float64)
-        if not np.all(self.a_diag < 0):
-            raise ValueError("a_diag must be strictly negative")
-        if not np.isfinite(self.delta_base):
-            raise ValueError("delta_base must be finite")
-        if not (self.theta_b.shape[0] == self.theta_c.shape[0] == len(self.theta_delta)):
-            raise ValueError("theta maps disagree on feature width")
-
-    @property
-    def h_dim(self) -> int:
-        return self.theta_b.shape[0]
-
-    @property
-    def n_state(self) -> int:
-        return self.theta_b.shape[1]
-
-
-def init_selective_head(h_dim: int, n_state: int, rng: np.random.Generator,
-                        delta_base: float = 0.0) -> SelectiveHead:
-    """Fan-in uniform init for the maps; zero delta offset gives an
-    initial interval of softplus(0) = ln 2."""
-    scale = 1.0 / np.sqrt(h_dim)
-    return SelectiveHead(
-        theta_b=rng.uniform(-scale, scale, size=(h_dim, n_state)),
-        theta_c=rng.uniform(-scale, scale, size=(h_dim, n_state)),
-        theta_delta=rng.uniform(-scale, scale, size=h_dim),
-        delta_base=delta_base,
-        a_diag=diag_init(n_state),
-    )
-
-
-def selective_params(head: SelectiveHead, x_l: np.ndarray):
-    """Per-position parameters (b, c, delta) from one feature vector.
-
-    delta = softplus(delta_base + theta_delta . x) is positive for any
-    finite input.
-    """
-    x_l = np.asarray(x_l, dtype=np.float64)
-    if x_l.shape != (head.h_dim,):
-        raise ValueError(f"expected feature vector of dim {head.h_dim}, got {x_l.shape}")
-    b = x_l @ head.theta_b
-    c = x_l @ head.theta_c
-    pre = head.delta_base + float(x_l @ head.theta_delta)
-    delta = float(np.maximum(pre, 0.0) + np.log1p(np.exp(-abs(pre))))
-    return b, c, delta
-
-
-def cumulative_times(deltas: np.ndarray) -> np.ndarray:
-    """Sampling times as running sums of strictly positive intervals."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.ndim != 1 or len(deltas) == 0:
-        raise ValueError("deltas must be a non-empty 1-d sequence")
-    if np.any(deltas <= 0):
-        raise ValueError("all intervals must be strictly positive")
-    return np.cumsum(deltas)
-
-
-# ---------------------------------------------------------------------------
-# fused differentiable scan
-
+__all__ = ["ssm_scan"]
 
 # Decays below this are flushed to exact zero.  A product of two
 # unflushed decays is then at least float64's smallest normal, so the
@@ -260,40 +168,3 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u) -> ad.Tensor:
         ],
     )
 
-
-def selective_scan(head: SelectiveHead, x, u, tape: ad.Tape | None = None):
-    """Scan a scalar channel with parameters derived from the features.
-
-    ``x`` is the [L, H] feature sequence; ``u`` the [L] scalar input
-    channel (a projection of x chosen by the caller).  Returns
-    ``(y, leaves)`` where y is the [L] output tensor and leaves maps the
-    head's weight names to the tensors bound on the tape (constants when
-    no tape is given), so callers can read gradients after backward.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    u_arr = np.asarray(u, dtype=np.float64)
-    if x_arr.ndim != 2 or x_arr.shape[1] != head.h_dim:
-        raise ValueError(f"expected [L, {head.h_dim}] features, got {x_arr.shape}")
-    if u_arr.shape != (x_arr.shape[0],):
-        raise ValueError("channel length must match the feature sequence")
-
-    def bind(arr):
-        return tape.leaf(arr) if tape is not None else ad.constant(arr)
-
-    leaves = {
-        "theta_b": bind(head.theta_b),
-        "theta_c": bind(head.theta_c),
-        "theta_delta": bind(head.theta_delta.reshape(-1, 1)),
-        "delta_base": bind(head.delta_base),
-        "a_diag": bind(head.a_diag.reshape(1, -1)),
-    }
-    x_t = ad.constant(x_arr)
-    u_t = ad.constant(u_arr.reshape(-1, 1))
-
-    b_seq = ad.matmul(x_t, leaves["theta_b"])
-    c_seq = ad.matmul(x_t, leaves["theta_c"])
-    pre = ad.add(ad.reshape(ad.matmul(x_t, leaves["theta_delta"]), (len(u_arr),)),
-                 leaves["delta_base"])
-    deltas = ad.softplus(pre)
-    y = ssm_scan(leaves["a_diag"], deltas, b_seq, c_seq, u_t)
-    return ad.reshape(y, (len(u_arr),)), leaves

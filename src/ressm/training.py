@@ -130,33 +130,19 @@ def _topk_hit(logits: np.ndarray, label: int, k: int) -> bool:
 
 
 def evaluate(model: ResampleNetwork, dataset) -> EvalMetrics:
-    """Mean loss, top-1/top-5 hit rates, and exp(loss) as perplexity.
-
-    Classification items are (tokens, label) examples; next-token models
-    take (tokens, target array) pairs and score every position.
-    """
+    """Mean loss, top-1/top-5 hit rates, and exp(loss) as perplexity
+    over (tokens, label) examples."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     losses = []
-    hits1 = hits5 = total = 0
+    hits1 = hits5 = 0
     for item in dataset:
-        if model.spec.head_kind == "classification":
-            tokens, label = item.tokens, item.label
-            logits = model.predict(tokens)
-            losses.append(ad.cross_entropy(ad.constant(logits), label).item())
-            hits1 += _topk_hit(logits, label, 1)
-            hits5 += _topk_hit(logits, label, 5)
-            total += 1
-        else:
-            tokens, targets = item
-            logits = model.predict(tokens)
-            for l, target in enumerate(targets):
-                losses.append(ad.cross_entropy(ad.constant(logits[l]), int(target)).item())
-                hits1 += _topk_hit(logits[l], int(target), 1)
-                hits5 += _topk_hit(logits[l], int(target), 5)
-                total += 1
+        logits = model.predict(item.tokens)
+        losses.append(ad.cross_entropy(ad.constant(logits), item.label).item())
+        hits1 += _topk_hit(logits, item.label, 1)
+        hits5 += _topk_hit(logits, item.label, 5)
     loss = float(np.mean(losses))
-    return EvalMetrics(top1=hits1 / total, top5=hits5 / total,
+    return EvalMetrics(top1=hits1 / len(losses), top5=hits5 / len(losses),
                        loss=loss, perplexity=math.exp(loss))
 
 

@@ -298,6 +298,17 @@ class TestCompressTrace:
         assert main(["compress-trace", "--input", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "t6")]) == 2
 
+    @pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_input_rejected_before_output(self, tmp_path, capsys, entry):
+        # json.load reads these literals as floats; the load must refuse
+        # them before the output directory exists.
+        path = tmp_path / "nonfinite.json"
+        path.write_text(f'{{"x": [[0.5, 1.0], [{entry}, 2.0], [0.1, 0.2]]}}')
+        out = tmp_path / "t8"
+        assert main(["compress-trace", "--input", str(path), "--out", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trace_and_kernel_idempotent(self, tmp_path):
         path, _ = self.write_input(tmp_path, L=12, seed=6)
         targs = ["compress-trace", "--input", str(path), "--seed", "6",

@@ -1,5 +1,7 @@
 """Tests for blocks, norms, network assembly, and the checkpoint container."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,14 +173,6 @@ class TestNetwork:
         ids = np.random.default_rng(11).integers(0, 10, size=9)
         assert model.predict(ids).shape == (4,)
 
-        lm = net.NetworkSpec(
-            depth=1, h_dim=6,
-            block=net.BlockSpec(branches=[net.BranchSpec(kappa=None, n_state=2)]),
-            head_kind="next_token", vocab_size=10,
-        )
-        model = net.ResampleNetwork(lm, seed=7)
-        assert model.predict(ids).shape == (9, 10)
-
     def test_token_out_of_vocab(self):
         model = net.ResampleNetwork(token_spec(vocab=5), seed=8)
         with pytest.raises(ValueError):
@@ -260,22 +254,35 @@ class TestPresets:
         ids = np.random.default_rng(31).integers(0, 50, size=20)
         assert model.predict(ids).shape == (10,)
 
-    def test_next_token_preset_structure(self):
-        spec = net.next_token_preset(vocab_size=40, depth=2, h_dim=9)
-        assert [b.kappa for b in spec.block.branches] == [None, 0.5, 0.1]
-        assert spec.block.norm_kind == "rmsnorm"
-        assert spec.block.norm_position == "pre"
-        assert spec.branch_widths() == [3, 3, 3]
-        model = net.ResampleNetwork(spec, seed=32)
-        ids = np.random.default_rng(33).integers(0, 40, size=12)
-        assert model.predict(ids).shape == (12, 40)
 
-    def test_next_token_default_shape(self):
-        # Default width splits evenly into the three parallel branches.
-        spec = net.next_token_preset(vocab_size=100)
-        assert spec.depth == 8
-        assert spec.h_dim == 510
-        assert spec.branch_widths() == [170, 170, 170]
+class TestInit:
+    def test_mode_ladder(self):
+        model = net.ResampleNetwork(feature_spec(h_dim=4, kappas=(None, 0.5)), seed=0)
+        for b in range(2):
+            rho = model.params[f"block0.br{b}.ssm.rho"]
+            np.testing.assert_array_equal(rho, np.log([[1.0, 2.0]] * 2))
+
+    # SHA-256 of every initial weight, in name order, at seed 7 for the
+    # two layouts the benchmark workloads build (h_dim 16, depth 2, the
+    # sparse-signal task's 4 classes over 12 tokens).  Init is part of the
+    # byte-stable contract: a change here moves every recorded run.
+    @pytest.mark.parametrize("layout, digest", [
+        ("criterion8", "dd9b57e40c000e0752908782a4586c97d435d51a3a1b6c5c2e399e7ac4968ff3"),
+        ("preset", "3d5d7b5b51277c9a6d8b5842b9a41a12731db17744583ada006142d0c3c475b4"),
+    ])
+    def test_init_pinned(self, layout, digest):
+        if layout == "preset":
+            spec = net.classification_preset(depth=2, n_classes=4, vocab_size=12, h_dim=16)
+        else:
+            branches = [net.BranchSpec(kappa=None), net.BranchSpec(kappa=0.5)]
+            spec = net.NetworkSpec(depth=2, h_dim=16, block=net.BlockSpec(branches=branches),
+                                   n_classes=4, vocab_size=12)
+        params = net.ResampleNetwork(spec, seed=7).params
+        h = hashlib.sha256()
+        for name in sorted(params):
+            h.update(name.encode())
+            h.update(params[name].tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestCheckpoint:
@@ -315,3 +322,12 @@ class TestCheckpoint:
             net.BlockSpec(branches=[])
         with pytest.raises(ValueError):
             net.BranchSpec(kappa=1.5)
+
+    def test_head_kind_is_classification_only(self):
+        branches = [net.BranchSpec(kappa=None)]
+        with pytest.raises(ValueError, match="head kind"):
+            net.NetworkSpec(depth=1, h_dim=4, block=net.BlockSpec(branches=branches),
+                            head_kind="next_token", n_classes=2, vocab_size=10)
+        with pytest.raises(ValueError, match="n_classes"):
+            net.NetworkSpec(depth=1, h_dim=4, block=net.BlockSpec(branches=branches),
+                            vocab_size=10)

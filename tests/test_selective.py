@@ -1,8 +1,7 @@
-"""Tests for input-dependent scan parameters and the fused scan op."""
+"""Tests for the network's selective layer and the fused scan op."""
 
 import math
 import zlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,60 +9,83 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ressm import autodiff as ad
+from ressm import network as net
+from ressm import resample as rs
 from ressm import selective, ssm
 
+PRE = "block0.br0."
 
-def make_head(h_dim=3, n_state=2, seed=0, delta_base=0.0):
-    return selective.init_selective_head(h_dim, n_state, np.random.default_rng(seed), delta_base)
+
+def selective_block(seed=0):
+    """A one-branch selective block (3 channels, 2 states) without
+    normalisation, so the branch sees the block input as is and adds its
+    scan output to it."""
+    spec = net.NetworkSpec(
+        depth=1, h_dim=3,
+        block=net.BlockSpec(branches=[net.BranchSpec(kappa=None, n_state=2, selective=True)],
+                            norm_kind="none"),
+        n_classes=2, input_dim=3,
+    )
+    return net.ResampleNetwork(spec, seed=seed)
+
+
+def run_capturing_scan(monkeypatch, model, x):
+    """Block output and the operands the block handed to the scan."""
+    seen = {}
+
+    def spy(a, deltas, b_seq, c_seq, u):
+        seen.update(a=a.numpy(), deltas=deltas.numpy(), b_seq=b_seq.numpy(),
+                    c_seq=c_seq.numpy(), u=u.numpy())
+        return selective.ssm_scan(a, deltas, b_seq, c_seq, u)
+
+    monkeypatch.setattr(net, "ssm_scan", spy)
+    return model.run_block(0, x).numpy(), seen
 
 
 class TestSelectiveParams:
-    def test_zero_map_gives_ln2_interval(self):
-        head = make_head()
-        head.theta_delta = np.zeros(3)
-        head.delta_base = 0.0
-        _, _, delta = selective.selective_params(head, np.random.default_rng(1).normal(size=3))
-        assert delta == pytest.approx(math.log(2.0), rel=1e-15)
+    def test_zero_map_gives_ln2_interval(self, monkeypatch):
+        model = selective_block()
+        model.params[PRE + "ssm.theta_delta"] = np.zeros(3)
+        model.params[PRE + "ssm.delta_base"] = np.array(0.0)
+        x = np.random.default_rng(1).normal(size=(6, 3))
+        _, seen = run_capturing_scan(monkeypatch, model, x)
+        np.testing.assert_allclose(seen["deltas"], math.log(2.0), rtol=1e-15)
 
-    def test_zero_input_gives_zero_maps(self):
-        head = make_head()
-        b, c, _ = selective.selective_params(head, np.zeros(3))
-        assert np.all(b == 0.0) and np.all(c == 0.0)
+    def test_zero_input_gives_zero_maps(self, monkeypatch):
+        out, seen = run_capturing_scan(monkeypatch, selective_block(), np.zeros((5, 3)))
+        assert np.all(seen["b_seq"] == 0.0) and np.all(seen["c_seq"] == 0.0)
+        assert np.all(out == 0.0)
 
-    def test_interval_always_positive(self):
-        head = make_head(seed=5)
-        r = np.random.default_rng(6)
-        for _ in range(1000):
-            _, _, delta = selective.selective_params(head, r.normal(size=3) * 10)
-            assert delta > 0.0
+    def test_interval_always_positive(self, monkeypatch):
+        x = np.random.default_rng(6).normal(size=(1000, 3)) * 10
+        _, seen = run_capturing_scan(monkeypatch, selective_block(seed=5), x)
+        assert np.all(seen["deltas"] > 0.0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            selective.selective_params(make_head(), np.zeros(4))
-
-    def test_head_validation(self):
-        with pytest.raises(ValueError):
-            selective.SelectiveHead(
-                theta_b=np.zeros((2, 2)), theta_c=np.zeros((2, 2)),
-                theta_delta=np.zeros(2), delta_base=0.0, a_diag=np.array([1.0, -1.0]),
-            )
+        for width in (2, 4):
+            with pytest.raises(ValueError, match=r"expected \[L, 3\]"):
+                selective_block().run_block(0, np.zeros((4, width)))
 
 
 class TestCumulativeTimes:
+    """Sampling times are the running sums of the intervals;
+    ``resample.build_grid`` lays them for routing."""
+
     def test_unit_intervals(self):
-        np.testing.assert_array_equal(selective.cumulative_times([1.0, 1.0, 1.0]), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(rs.build_grid([1.0, 1.0, 1.0], 1.0).src_times,
+                                      [1.0, 2.0, 3.0])
 
     def test_single_element(self):
-        np.testing.assert_array_equal(selective.cumulative_times([0.5]), [0.5])
+        np.testing.assert_array_equal(rs.build_grid([0.5], 1.0).src_times, [0.5])
 
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
-            selective.cumulative_times([0.5, 0.0])
+            rs.build_grid([0.5, 0.0], 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=1e-6, max_value=10.0), min_size=1, max_size=50))
     def test_strictly_increasing_and_differences_recover(self, deltas):
-        t = selective.cumulative_times(deltas)
+        t = rs.build_grid(deltas, 1.0).src_times
         assert np.all(np.diff(t) > 0)
         back = np.diff(np.concatenate([[0.0], t]))
         np.testing.assert_allclose(back, deltas, rtol=1e-12, atol=1e-12)
@@ -220,85 +242,87 @@ class TestPhiDirectThenPatch:
 
 
 class TestSelectiveScan:
-    def test_constant_parameters_degenerate_to_lti(self):
-        # Rank-zero feature maps freeze (b, c, delta); the scan must match
-        # a fixed-step recurrence with that step.
-        n = 2
-        head = make_head(h_dim=3, n_state=n, seed=7)
-        head.theta_b = np.zeros((3, n))
-        head.theta_c = np.zeros((3, n))
-        head.theta_delta = np.zeros(3)
-        head.delta_base = 0.3
+    def test_constant_parameters_degenerate_to_lti(self, monkeypatch):
         r = np.random.default_rng(8)
         L = 16
+        # Zero input and output maps: the branch adds nothing.
+        model = selective_block(seed=7)
+        model.params[PRE + "ssm.theta_b"] = np.zeros((3, 2))
+        model.params[PRE + "ssm.theta_c"] = np.zeros((3, 2))
         x = r.normal(size=(L, 3))
-        u = r.normal(size=L)
-        y, _ = selective.selective_scan(head, x, u)
-        # With zero maps b = c = 0, output is identically zero; instead use
-        # constant-feature input so the maps produce fixed vectors.
-        assert np.all(y.numpy() == 0.0)
+        out, _ = run_capturing_scan(monkeypatch, model, x)
+        np.testing.assert_array_equal(out, x)
 
-        head2 = make_head(h_dim=3, n_state=n, seed=9)
-        head2.theta_delta = np.zeros(3)
-        head2.delta_base = 0.4
+        # Constant features freeze (b, c, delta): each channel must match
+        # a fixed-step recurrence with that step.
+        model = selective_block(seed=9)
+        model.params[PRE + "ssm.theta_delta"] = np.zeros(3)
+        model.params[PRE + "ssm.delta_base"] = np.array(0.4)
         x_const = np.tile(r.normal(size=3), (L, 1))
-        y2, _ = selective.selective_scan(head2, x_const, u)
-        b, c, delta = selective.selective_params(head2, x_const[0])
-        step = ssm.DiscreteStep(
-            a_bar=np.exp(delta * head2.a_diag),
-            b_bar=ssm.phi(delta * head2.a_diag) * delta * b,
-            delta=delta,
-        )
-        want, _ = ssm.lti_scan(step, c, u)
-        np.testing.assert_allclose(y2.numpy(), want, atol=1e-12)
+        out, _ = run_capturing_scan(monkeypatch, model, x_const)
+        b = x_const[0] @ model.params[PRE + "ssm.theta_b"]
+        c = x_const[0] @ model.params[PRE + "ssm.theta_c"]
+        delta = math.log1p(math.exp(0.4))
+        for w in range(3):
+            a = -np.exp(model.params[PRE + "ssm.rho"][w])
+            step = ssm.DiscreteStep(a_bar=np.exp(delta * a),
+                                    b_bar=ssm.phi(delta * a) * delta * b, delta=delta)
+            want, _ = ssm.lti_scan(step, c, x_const[:, w])
+            np.testing.assert_allclose(out[:, w] - x_const[:, w], want, atol=1e-12)
 
-    def test_interval_monotone_in_preactivation(self):
-        head = make_head(seed=11)
-        r = np.random.default_rng(12)
-        x = r.normal(size=(8, 3))
-        pre1 = head.delta_base + x @ head.theta_delta
-        head_double = replace(head, theta_delta=head.theta_delta * 2)
-        # softplus is monotone, so doubling a positive preactivation grows
-        # every interval and vice versa; compare elementwise.
-        d1 = np.log1p(np.exp(-(np.abs(pre1)))) + np.maximum(pre1, 0)
-        pre2 = head.delta_base + x @ head_double.theta_delta
-        d2 = np.log1p(np.exp(-(np.abs(pre2)))) + np.maximum(pre2, 0)
-        grew = pre2 > pre1
+    def test_interval_monotone_in_preactivation(self, monkeypatch):
+        model = selective_block(seed=11)
+        x = np.random.default_rng(12).normal(size=(8, 3))
+        theta = model.params[PRE + "ssm.theta_delta"].copy()
+        base = float(model.params[PRE + "ssm.delta_base"])
+        _, seen = run_capturing_scan(monkeypatch, model, x)
+        d1 = seen["deltas"]
+        model.params[PRE + "ssm.theta_delta"] = theta * 2
+        _, seen = run_capturing_scan(monkeypatch, model, x)
+        d2 = seen["deltas"]
+        # softplus is monotone: an interval grows exactly where its
+        # preactivation does.
+        grew = base + x @ (theta * 2) > base + x @ theta
         assert np.all((d2 > d1) == grew)
 
     def test_gradient_wrt_interval_map_vs_finite_differences(self):
-        head = make_head(h_dim=3, n_state=2, seed=13)
+        model = selective_block(seed=13)
         r = np.random.default_rng(14)
         L = 8
         x = r.normal(size=(L, 3))
-        u = r.normal(size=L)
-        w = r.normal(size=L)
+        w = r.normal(size=(L, 3))
+        name = PRE + "ssm.theta_delta"
 
         # Analytic gradient through the tape.
         tape = ad.Tape()
-        y, leaves = selective.selective_scan(head, x, u, tape=tape)
-        tape.backward(ad.reduce_sum(ad.mul(y, ad.constant(w))))
-        got = tape.grad(leaves["theta_delta"]).reshape(-1)
+        out, bound = model.run_block(0, x, tape=tape)
+        tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(w))))
+        got = tape.grad(bound[name])
 
-        # Central differences by rebuilding the head.
+        # Central differences by perturbing the stored weight.
         h = 1e-5
-        num = np.empty_like(head.theta_delta)
+        theta = model.params[name].copy()
+        num = np.empty_like(theta)
         for i in range(len(num)):
-            td_p = head.theta_delta.copy()
-            td_m = head.theta_delta.copy()
-            td_p[i] += h
-            td_m[i] -= h
-            yp, _ = selective.selective_scan(replace(head, theta_delta=td_p), x, u)
-            ym, _ = selective.selective_scan(replace(head, theta_delta=td_m), x, u)
-            num[i] = (np.sum(yp.numpy() * w) - np.sum(ym.numpy() * w)) / (2 * h)
+            vals = []
+            for sign in (1.0, -1.0):
+                model.params[name] = theta.copy()
+                model.params[name][i] += sign * h
+                vals.append(np.sum(model.run_block(0, x).numpy() * w))
+            num[i] = (vals[0] - vals[1]) / (2 * h)
+        model.params[name] = theta
         rel = np.abs(got - num) / (np.abs(got) + 1e-8)
         assert rel.max() < 1e-4
 
-    def test_per_position_params_match_pointwise_op(self):
-        head = make_head(seed=15)
-        r = np.random.default_rng(16)
-        x = r.normal(size=(5, 3))
+    def test_per_position_params_match_pointwise_op(self, monkeypatch):
+        model = selective_block(seed=15)
+        x = np.random.default_rng(16).normal(size=(5, 3))
+        _, seen = run_capturing_scan(monkeypatch, model, x)
+        p = {k: model.params[PRE + "ssm." + k]
+             for k in ("theta_b", "theta_c", "theta_delta", "delta_base")}
         for l in range(5):
-            b, c, delta = selective.selective_params(head, x[l])
-            np.testing.assert_allclose(x[l] @ head.theta_b, b, rtol=1e-12)
-            assert delta > 0
+            np.testing.assert_allclose(seen["b_seq"][l], x[l] @ p["theta_b"], rtol=1e-12)
+            np.testing.assert_allclose(seen["c_seq"][l], x[l] @ p["theta_c"], rtol=1e-12)
+            want = np.logaddexp(0.0, p["delta_base"] + x[l] @ p["theta_delta"])  # softplus
+            assert seen["deltas"][l] == pytest.approx(want, rel=1e-12)
+            assert seen["deltas"][l] > 0

@@ -103,19 +103,6 @@ class TestEvaluate:
         m = training.evaluate(model, val)
         assert m.perplexity == pytest.approx(math.exp(m.loss), rel=1e-12)
 
-    def test_next_token_metrics(self):
-        spec = net.NetworkSpec(
-            depth=1, h_dim=6,
-            block=net.BlockSpec(branches=[net.BranchSpec(kappa=None, n_state=2)]),
-            head_kind="next_token", vocab_size=5,
-        )
-        model = net.ResampleNetwork(spec, seed=6)
-        tokens = np.array([0, 1, 2, 3, 0, 1])
-        data = [(tokens[:-1], tokens[1:])]
-        m = training.evaluate(model, data)
-        assert m.perplexity == pytest.approx(math.exp(m.loss), rel=1e-12)
-        assert 0.0 <= m.top1 <= m.top5 <= 1.0
-
     def test_replay_identical(self):
         t = tasks.SparseSignalTask(seq_len=16, n_train=1, n_val=10, seed=8)
         spec = tiny_spec(vocab=t.vocab_size, n_classes=4)
