@@ -8,7 +8,7 @@ from .resample import ResampleConfig, ResamplePlan, compress, decompress
 from .selective import ssm_scan
 from .ssm import DiscreteStep, SsmParams, lti_scan, varying_scan, zoh_discretize
 from .tasks import SparseSignalTask, gen_sparse_task
-from .training import AdamW, EvalMetrics, TrainConfig, evaluate, train
+from .training import EvalMetrics, TrainConfig, evaluate, train
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,6 @@ __all__ = [
     "save_checkpoint", "load_checkpoint",
     "LeaveOneOutInstance", "LinearityReport", "linearity_sweep",
     "SparseSignalTask", "gen_sparse_task",
-    "TrainConfig", "AdamW", "train", "evaluate", "EvalMetrics",
+    "TrainConfig", "train", "evaluate", "EvalMetrics",
     "__version__",
 ]

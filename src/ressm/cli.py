@@ -13,12 +13,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import (ConfigError, Field, apply_overrides, load_config,
-                     parse_bool, parse_branches, parse_float_list, resolve)
+                     parse_branches, parse_float_list, resolve)
 from .linearity import RESIDUAL_LIMIT, SLOPE_BAND, run_verification
 from .network import BlockSpec, BranchSpec, NetworkSpec, ResampleNetwork
 from .resample import compression_deltas, init_resample_config, make_plan
@@ -154,32 +155,27 @@ def _build_run(cfg: dict, seed: int):
         pooling=cfg["model.pooling"],
     )
     model = ResampleNetwork(spec, seed=init_seed)
-    tcfg = TrainConfig(
-        lr=cfg["train.lr"],
-        weight_decay=cfg["train.weight_decay"],
-        batch_size=cfg["train.batch_size"],
-        epochs=cfg["train.epochs"],
-        scheduler=cfg["train.scheduler"],
-        plateau_patience=cfg["train.plateau_patience"],
-        plateau_factor=cfg["train.plateau_factor"],
-        clip_norm=cfg["train.clip_norm"],
-        seed=shuffle_seed,
-    )
+    try:
+        tcfg = TrainConfig(
+            lr=cfg["train.lr"],
+            weight_decay=cfg["train.weight_decay"],
+            batch_size=cfg["train.batch_size"],
+            epochs=cfg["train.epochs"],
+            scheduler=cfg["train.scheduler"],
+            plateau_patience=cfg["train.plateau_patience"],
+            plateau_factor=cfg["train.plateau_factor"],
+            clip_norm=cfg["train.clip_norm"],
+            seed=shuffle_seed,
+        )
+    except ValueError as e:
+        raise CliError(f"train.{e}") from e
     return model, task, tcfg
-
-
-def _task_dict(task: SparseSignalTask) -> dict:
-    return {
-        "seq_len": task.seq_len, "n_classes": task.n_classes,
-        "n_informative": task.n_informative, "noise_vocab": task.noise_vocab,
-        "n_train": task.n_train, "n_val": task.n_val, "seed": task.seed,
-    }
 
 
 def cmd_train(args) -> int:
     cfg = _resolved(args, _TRAIN_SCHEMA)
-    out = _prepare_out(args.out, args.force)
     model, task, tcfg = _build_run(cfg, args.seed)
+    out = _prepare_out(args.out, args.force)
     try:
         result = train(model, task, tcfg)
     except TrainingDiverged as e:
@@ -188,12 +184,12 @@ def cmd_train(args) -> int:
 
     write_csv(os.path.join(out, "metrics.csv"),
               ["epoch", "split", "loss", "top1", "top5", "ppl"], result.rows())
-    extra = {"task": _task_dict(task), "final_val": result.final_val.to_dict()}
+    extra = {"task": asdict(task), "final_val": result.final_val.to_dict()}
     save_checkpoint(os.path.join(out, "checkpoint_final.json"), model, extra=extra)
     best = ResampleNetwork(model.spec, params=result.best_params,
                            buffers=result.best_buffers)
     save_checkpoint(os.path.join(out, "checkpoint_best.json"), best,
-                    extra={"task": _task_dict(task), "best_epoch": result.best_epoch})
+                    extra={"task": asdict(task), "best_epoch": result.best_epoch})
     summary = {
         "seed": args.seed,
         "epochs": tcfg.epochs,
@@ -231,14 +227,11 @@ _KERNEL_SCHEMA = {
     "kernel.c": Field(parse_float_list, [1.0]),
     "kernel.delta": Field(float, 1.0),
     "kernel.length": Field(int, 16),
-    "kernel.selective": Field(parse_bool, False),
 }
 
 
 def cmd_dump_kernel(args) -> int:
     cfg = _resolved(args, _KERNEL_SCHEMA)
-    if cfg["kernel.selective"]:
-        raise CliError("selective systems have no static kernel to dump")
     if cfg["kernel.length"] < 1:
         raise CliError("kernel.length must be at least 1")
     out = _prepare_out(args.out, args.force)

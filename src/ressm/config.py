@@ -25,15 +25,6 @@ class Field:
     default: Any
 
 
-def parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
-
-
 def parse_float_list(s: str) -> list[float]:
     return [float(p.strip()) for p in s.split(",") if p.strip()]
 

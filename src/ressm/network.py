@@ -14,7 +14,7 @@ tape at most once; gradients are read back per name after backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -65,15 +65,6 @@ class BranchSpec:
         if self.selective is None:
             self.selective = self.kappa is not None
 
-    def to_dict(self):
-        return {
-            "kappa": self.kappa,
-            "n_state": self.n_state,
-            "window_k": self.window_k,
-            "basis_g": self.basis_g,
-            "selective": self.selective,
-        }
-
 
 @dataclass
 class BlockSpec:
@@ -88,13 +79,6 @@ class BlockSpec:
             raise ValueError(f"unknown norm kind '{self.norm_kind}'")
         if self.norm_position not in ("pre", "post_skip"):
             raise ValueError(f"unknown norm position '{self.norm_position}'")
-
-    def to_dict(self):
-        return {
-            "branches": [b.to_dict() for b in self.branches],
-            "norm_kind": self.norm_kind,
-            "norm_position": self.norm_position,
-        }
 
 
 @dataclass
@@ -135,16 +119,7 @@ class NetworkSpec:
         return widths
 
     def to_dict(self):
-        return {
-            "depth": self.depth,
-            "h_dim": self.h_dim,
-            "block": self.block.to_dict(),
-            "head_kind": self.head_kind,
-            "n_classes": self.n_classes,
-            "vocab_size": self.vocab_size,
-            "input_dim": self.input_dim,
-            "pooling": self.pooling,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":

@@ -300,26 +300,26 @@ def compress_tracked(
 
     Row l of the feature matrix is the neighbor blocks in ascending time
     order, each block [x_k, exp(-(dst_l - t_k - mus)^2)], mixed by
-    theta_gamma.  Gradients reach the inputs, the mixing map, the basis
-    means, and both time axes; neighbor windows stay frozen integer
-    routing from the plan.
+    theta_gamma.  All D K blocks are built in one pass of primitive ops,
+    so the tape holds the same 14 nodes at any K.  Gradients reach the
+    inputs, the mixing map, the basis means, and both time axes; neighbor
+    windows stay frozen integer routing from the plan.
     """
     if plan.neighbors is None:
         raise ValueError("plan has no neighbor windows; use make_plan")
     if x_t.shape[0] != len(plan.src_times):
         raise ValueError("sequence length does not match the plan")
     n_dst, window_k = plan.neighbors.shape
-    basis_g = mus_t.size
-    parts = []
-    for k in range(window_k):
-        idx = plan.neighbors[:, k]
-        xk = ad.gather_rows(x_t, idx)
-        tk = ad.gather_rows(src_times_t, idx)
-        dk = ad.sub(dst_times_t, tk)
-        diff = ad.sub(ad.tile_cols(dk, basis_g), ad.tile_rows(mus_t, n_dst))
-        eps_k = ad.exp(ad.neg(ad.mul(diff, diff)))
-        parts.extend([xk, eps_k])
-    feats = ad.concat(parts, axis=1)
+    rows = n_dst * window_k
+    # One row per (grid point, neighbor) pair, grid point major, so the
+    # final reshape lays each grid point's K blocks side by side.
+    idx = plan.neighbors.reshape(-1)
+    xk = ad.gather_rows(x_t, idx)
+    dst_k = ad.reshape(ad.tile_cols(dst_times_t, window_k), (rows,))
+    dk = ad.sub(dst_k, ad.gather_rows(src_times_t, idx))
+    diff = ad.sub(ad.tile_cols(dk, mus_t.size), ad.tile_rows(mus_t, rows))
+    eps = ad.exp(ad.neg(ad.mul(diff, diff)))
+    feats = ad.reshape(ad.concat([xk, eps], axis=1), (n_dst, -1))
     return ad.matmul(feats, theta_gamma_t)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "TrainConfig",
     "TrainingDiverged",
     "adamw_step",
-    "AdamW",
     "EvalMetrics",
     "evaluate",
     "TrainResult",
@@ -49,12 +48,16 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Each message starts with the field name, which the CLI prefixes
+        # with "train." to name the config key.
         if self.lr < 0:
-            raise ValueError("learning rate must be non-negative")
+            raise ValueError(f"lr must be non-negative, got {self.lr}")
         if self.batch_size < 1:
-            raise ValueError("batch size must be at least 1")
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.scheduler not in ("cosine", "plateau", "none"):
-            raise ValueError(f"unknown scheduler '{self.scheduler}'")
+            raise ValueError(f"scheduler must be cosine, plateau or none, got '{self.scheduler}'")
 
 
 def adamw_step(params: dict, grads: dict, cfg: TrainConfig, state: dict,
@@ -89,18 +92,6 @@ def adamw_step(params: dict, grads: dict, cfg: TrainConfig, state: dict,
     return state
 
 
-class AdamW:
-    """Stateful wrapper around ``adamw_step`` for a parameter dict."""
-
-    def __init__(self, params: dict, cfg: TrainConfig):
-        self.params = params
-        self.cfg = cfg
-        self.state: dict = {}
-
-    def step(self, grads: dict, lr: float | None = None) -> None:
-        adamw_step(self.params, grads, self.cfg, self.state, lr=lr)
-
-
 def clip_global_norm(grads: dict, max_norm: float) -> float:
     """Scale all gradients so their joint 2-norm is at most ``max_norm``."""
     total = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
@@ -119,8 +110,7 @@ class EvalMetrics:
     perplexity: float
 
     def to_dict(self):
-        return {"top1": self.top1, "top5": self.top5,
-                "loss": self.loss, "perplexity": self.perplexity}
+        return asdict(self)
 
 
 def _topk_hit(logits: np.ndarray, label: int, k: int) -> bool:
@@ -198,7 +188,7 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
     copy of the best-validation-loss weights and batchnorm buffers."""
     train_set, val_set = gen_sparse_task(task)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(1)[0])
-    opt = AdamW(model.params, cfg)
+    opt_state: dict = {}
 
     history = []
     best_val = math.inf
@@ -220,7 +210,7 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
             batch = [train_set[i] for i in order[bi : bi + cfg.batch_size]]
             grads, bloss, b1, b5 = _batch_grads(model, batch, cfg, epoch, bi // cfg.batch_size)
             clip_global_norm(grads, cfg.clip_norm)
-            opt.step(grads, lr=lr)
+            adamw_step(model.params, grads, cfg, opt_state, lr=lr)
             ep_losses.append(bloss * len(batch))
             ep_h1 += b1 * len(batch)
             ep_h5 += b5 * len(batch)
@@ -255,7 +245,8 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
                     lr *= cfg.plateau_factor
                     plateau_wait = 0
 
-    final_val = evaluate(model, val_set)
+    # epochs >= 1, so val is the last epoch's pass, taken on the final
+    # weights and buffers.
     return TrainResult(history=history, best_epoch=best_epoch, best_val_loss=best_val,
                        best_params=best_params, best_buffers=best_buffers,
-                       final_val=final_val)
+                       final_val=val)

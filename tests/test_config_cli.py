@@ -161,6 +161,12 @@ class TestTrainEvalCommands:
         assert code == 2
         assert "model.h_dmi" in capsys.readouterr().err
 
+    def test_zero_epochs_rejected_before_output(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), "--set", "train.epochs=0"]) == 2
+        assert "train.epochs" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_checkpoint(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "y")])
@@ -242,10 +248,11 @@ class TestDumpKernel:
         lines = (out / "kernel.csv").read_text().strip().splitlines()
         assert len(lines) == 2
 
-    def test_selective_config_rejected(self, tmp_path):
+    def test_selective_config_rejected(self, tmp_path, capsys):
         code = main(["dump-kernel", "--out", str(tmp_path / "k2"),
                      "--set", "kernel.selective=true"])
         assert code == 2
+        assert "kernel.selective" in capsys.readouterr().err
 
 
 class TestCompressTrace:

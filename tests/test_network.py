@@ -255,6 +255,16 @@ class TestPresets:
         assert model.predict(ids).shape == (10,)
 
 
+def bench_layout(layout):
+    """The two layouts the benchmark workloads build (h_dim 16, depth 2,
+    the sparse-signal task's 4 classes over 12 tokens)."""
+    if layout == "preset":
+        return net.classification_preset(depth=2, n_classes=4, vocab_size=12, h_dim=16)
+    branches = [net.BranchSpec(kappa=None), net.BranchSpec(kappa=0.5)]
+    return net.NetworkSpec(depth=2, h_dim=16, block=net.BlockSpec(branches=branches),
+                           n_classes=4, vocab_size=12)
+
+
 class TestInit:
     def test_mode_ladder(self):
         model = net.ResampleNetwork(feature_spec(h_dim=4, kappas=(None, 0.5)), seed=0)
@@ -263,21 +273,14 @@ class TestInit:
             np.testing.assert_array_equal(rho, np.log([[1.0, 2.0]] * 2))
 
     # SHA-256 of every initial weight, in name order, at seed 7 for the
-    # two layouts the benchmark workloads build (h_dim 16, depth 2, the
-    # sparse-signal task's 4 classes over 12 tokens).  Init is part of the
-    # byte-stable contract: a change here moves every recorded run.
+    # two benchmark layouts.  Init is part of the byte-stable contract: a
+    # change here moves every recorded run.
     @pytest.mark.parametrize("layout, digest", [
         ("criterion8", "dd9b57e40c000e0752908782a4586c97d435d51a3a1b6c5c2e399e7ac4968ff3"),
         ("preset", "3d5d7b5b51277c9a6d8b5842b9a41a12731db17744583ada006142d0c3c475b4"),
     ])
     def test_init_pinned(self, layout, digest):
-        if layout == "preset":
-            spec = net.classification_preset(depth=2, n_classes=4, vocab_size=12, h_dim=16)
-        else:
-            branches = [net.BranchSpec(kappa=None), net.BranchSpec(kappa=0.5)]
-            spec = net.NetworkSpec(depth=2, h_dim=16, block=net.BlockSpec(branches=branches),
-                                   n_classes=4, vocab_size=12)
-        params = net.ResampleNetwork(spec, seed=7).params
+        params = net.ResampleNetwork(bench_layout(layout), seed=7).params
         h = hashlib.sha256()
         for name in sorted(params):
             h.update(name.encode())
@@ -296,6 +299,18 @@ class TestCheckpoint:
         loaded, extra = ckpt.load_checkpoint(path)
         assert extra == {"note": "test"}
         np.testing.assert_array_equal(loaded.predict(x), want)
+
+    # SHA-256 of the saved file at seed 7: the spec's field names and
+    # order, the weights and the number format are all part of the format
+    # that saved checkpoints and bench/reference.py read.
+    @pytest.mark.parametrize("layout, digest", [
+        ("criterion8", "1875f894fadcdb912f5a8d0faa4c01ae01b6e7ca5fe61b06e4238e140c72c935"),
+        ("preset", "870dae33c881974d77364dc6f63189bf8457d08650f681a5c4be42dc9912ee50"),
+    ])
+    def test_saved_file_pinned(self, tmp_path, layout, digest):
+        path = tmp_path / "model.json"
+        ckpt.save_checkpoint(path, net.ResampleNetwork(bench_layout(layout), seed=7))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_repeated_saves_byte_identical(self, tmp_path):
         model = net.ResampleNetwork(feature_spec(), seed=14)

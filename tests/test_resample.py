@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ressm import autodiff as ad
@@ -286,9 +286,21 @@ class TestCompress:
         with pytest.raises(ValueError):
             rs.compress(cfg, x[:5], plan)
 
-    def test_tracked_matches_reference(self):
-        cfg = make_cfg(width=3, kappa=0.3, window_k=3, basis_g=4, seed=15)
-        x = np.random.default_rng(16).normal(size=(20, 3))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=80),
+        st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(width=3, k=6, g=4, L=2, kappa=0.5, seed=15)  # K > L
+    @example(width=1, k=1, g=1, L=1, kappa=1.0, seed=16)
+    @example(width=8, k=6, g=8, L=80, kappa=1.0, seed=17)
+    def test_tracked_matches_reference(self, width, k, g, L, kappa, seed):
+        cfg = make_cfg(width=width, kappa=kappa, window_k=k, basis_g=g, seed=seed)
+        x = np.random.default_rng(seed + 1).normal(size=(L, width))
         deltas = rs.compression_deltas(cfg, x)
         plan = rs.make_plan(deltas, cfg.delta_base, cfg.window_k)
         # Oracle: the neighbour blocks [x_k, exp(-(dst - t_k - mus)^2)]
@@ -302,7 +314,40 @@ class TestCompress:
             ad.constant(x), plan, ad.constant(cfg.theta_gamma), ad.constant(cfg.mus),
             ad.constant(plan.src_times), ad.constant(plan.dst_times),
         )
-        np.testing.assert_allclose(got.numpy(), want, rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(got.numpy(), want)
+
+    def test_tape_size_independent_of_window(self):
+        sizes = []
+        for k in (1, 5):
+            cfg = make_cfg(width=3, kappa=0.5, window_k=k, basis_g=4, seed=24)
+            x = np.random.default_rng(25).normal(size=(12, 3))
+            plan = rs.make_plan(rs.compression_deltas(cfg, x), cfg.delta_base, k)
+            tape = ad.Tape()
+            inputs = [tape.leaf(a) for a in (x, cfg.theta_gamma, cfg.mus,
+                                             plan.src_times, plan.dst_times)]
+            rs.compress_tracked(inputs[0], plan, *inputs[1:])
+            sizes.append(len(tape.nodes) - len(inputs))
+        assert sizes[0] == sizes[1]
+
+    @pytest.mark.parametrize("k, L", [(1, 10), (3, 10), (5, 3)])  # (5, 3): K > L
+    def test_gradients_wrt_mixing_map_and_grid_times(self, k, L):
+        cfg = make_cfg(width=2, kappa=0.4, window_k=k, basis_g=3, seed=26)
+        x = np.random.default_rng(27).normal(size=(L, 2))
+        plan = rs.make_plan(rs.compression_deltas(cfg, x), cfg.delta_base, k)
+        w = ad.constant(np.random.default_rng(28).normal(size=(plan.dst_len, 2)))
+        # Means within reach of every distance, so no basis column, and no
+        # entry of the mixing map's gradient, is too small to difference.
+        mus = ad.constant([-1.0, 0.0, 1.0])
+
+        def loss(gamma, dst_times):
+            out = rs.compress_tracked(ad.constant(x), plan, gamma, mus,
+                                      ad.constant(plan.src_times), dst_times)
+            return ad.reduce_sum(ad.mul(out, w))
+
+        assert ad.grad_check(lambda t: loss(t, ad.constant(plan.dst_times)),
+                             cfg.theta_gamma) < 1e-4
+        assert ad.grad_check(lambda t: loss(ad.constant(cfg.theta_gamma), t),
+                             plan.dst_times) < 1e-4
 
     def test_gradients_wrt_inputs_and_means(self):
         cfg = make_cfg(width=2, kappa=0.4, window_k=2, basis_g=3, seed=17)

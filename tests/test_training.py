@@ -186,6 +186,38 @@ class TestTrainLoop:
                     wait = 0
         assert lr == pytest.approx(0.1)
 
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="epochs"):
+            training.TrainConfig(epochs=0)
+
+    def test_final_val_is_the_last_val_row(self, monkeypatch):
+        # Nothing changes the weights after the last epoch's validation
+        # pass, so train() reports that pass instead of running another.
+        real = training.evaluate
+        calls = []
+        monkeypatch.setattr(training, "evaluate",
+                            lambda *a: calls.append(1) or real(*a))
+        t = tasks.SparseSignalTask(seq_len=12, n_train=8, n_val=4, seed=25)
+        model = net.ResampleNetwork(tiny_spec(vocab=t.vocab_size, n_classes=4, h_dim=4), seed=26)
+        cfg = training.TrainConfig(lr=1e-3, epochs=3, batch_size=4, seed=27)
+        result = training.train(model, t, cfg)
+        assert len(calls) == cfg.epochs
+        last = [r for r in result.history if r["split"] == "val"][-1]
+        assert result.final_val == training.EvalMetrics(
+            top1=last["top1"], top5=last["top5"], loss=last["loss"], perplexity=last["ppl"])
+        assert result.final_val == real(model, tasks.gen_sparse_task(t)[1])
+
+    def test_optimizer_step_resolved_at_call_time(self, monkeypatch):
+        # Tools that time or count optimizer steps patch training.adamw_step.
+        real = training.adamw_step
+        steps = []
+        monkeypatch.setattr(training, "adamw_step",
+                            lambda *a, **k: steps.append(1) or real(*a, **k))
+        t = tasks.SparseSignalTask(seq_len=12, n_train=8, n_val=2, seed=28)
+        model = net.ResampleNetwork(tiny_spec(vocab=t.vocab_size, n_classes=4, h_dim=4), seed=29)
+        training.train(model, t, training.TrainConfig(epochs=2, batch_size=3, seed=30))
+        assert len(steps) == 2 * 3  # ceil(8 / 3) steps per epoch
+
     def test_best_checkpoint_tracked(self):
         t = tasks.SparseSignalTask(seq_len=12, n_train=8, n_val=4, seed=23)
         spec = tiny_spec(vocab=t.vocab_size, n_classes=4, h_dim=4)
