@@ -309,7 +309,6 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise ops
 
 _BINARY_KINDS = {"add", "sub", "mul"}
-_UNARY_KINDS = {"exp", "expm1", "log1p", "sigmoid", "softplus", "neg", "recip", "sqrt"}
 
 
 def add(a, b) -> Tensor:
@@ -498,7 +497,7 @@ def slice_along(a, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice [{start}:{stop}] out of range on axis {axis} of {a.shape}")
     idx = [slice(None)] * a.ndim
     idx[axis] = slice(start, stop)
-    out = a.data[tuple(idx)].copy()
+    out = a.data[tuple(idx)]
 
     def da(g):
         z = np.zeros(a.shape)
@@ -582,7 +581,7 @@ def gather_rows(a, indices) -> Tensor:
         raise ShapeError("gather_rows expects a flat index array")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError("gather_rows index out of range")
-    out = a.data[idx].copy()
+    out = a.data[idx]
 
     def da(g):
         z = np.zeros(a.shape)
@@ -612,7 +611,7 @@ def tile_cols(v, reps: int) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
-    out = np.reshape(a.data, shape).copy()
+    out = np.reshape(a.data, shape)
     return custom_op("reshape", out, [(a, lambda g: np.reshape(g, a.shape))])
 
 

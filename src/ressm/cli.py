@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -101,6 +101,20 @@ def cmd_verify_linearity(args) -> int:
 # ---------------------------------------------------------------------------
 # train / eval
 
+def _record_keys(section: str, record) -> dict:
+    """One key per field of ``record`` but its seed, parsed by the type of
+    the field's default."""
+    return {f"{section}.{f.name}": Field(type(f.default), f.default)
+            for f in fields(record) if f.name != "seed"}
+
+
+def _section(cfg: dict, section: str) -> dict:
+    prefix = section + "."
+    return {k[len(prefix):]: v for k, v in cfg.items() if k.startswith(prefix)}
+
+
+# The model keys are listed by hand: model.norm and model.branches set
+# fields of other names (norm_kind, each branch's kappa).
 _TRAIN_SCHEMA = {
     "model.h_dim": Field(int, 16),
     "model.depth": Field(int, 2),
@@ -111,64 +125,39 @@ _TRAIN_SCHEMA = {
     "model.norm": Field(str, "rmsnorm"),
     "model.norm_position": Field(str, "pre"),
     "model.pooling": Field(str, "mean"),
-    "task.seq_len": Field(int, 256),
-    "task.n_classes": Field(int, 4),
-    "task.n_informative": Field(int, 4),
-    "task.noise_vocab": Field(int, 8),
-    "task.n_train": Field(int, 128),
-    "task.n_val": Field(int, 64),
-    "train.lr": Field(float, 1e-3),
-    "train.weight_decay": Field(float, 0.05),
-    "train.batch_size": Field(int, 16),
-    "train.epochs": Field(int, 100),
-    "train.scheduler": Field(str, "plateau"),
-    "train.plateau_patience": Field(int, 5),
-    "train.plateau_factor": Field(float, 0.1),
-    "train.clip_norm": Field(float, 1.0),
+    **_record_keys("task", SparseSignalTask),
+    **_record_keys("train", TrainConfig),
 }
 
 
 def _build_run(cfg: dict, seed: int):
+    """Task, model and optimizer settings of a run.  The records' messages
+    start with the field name, so prefixing the section names the key."""
     init_seed, data_seed, shuffle_seed = _seed_children(seed, 3)
-    task = SparseSignalTask(
-        seq_len=cfg["task.seq_len"],
-        n_classes=cfg["task.n_classes"],
-        n_informative=cfg["task.n_informative"],
-        noise_vocab=cfg["task.noise_vocab"],
-        n_train=cfg["task.n_train"],
-        n_val=cfg["task.n_val"],
-        seed=data_seed,
-    )
-    branches = [
-        BranchSpec(kappa=k, n_state=cfg["model.n_state"],
-                   window_k=cfg["model.window_k"], basis_g=cfg["model.basis_g"])
-        for k in cfg["model.branches"]
-    ]
-    spec = NetworkSpec(
-        depth=cfg["model.depth"],
-        h_dim=cfg["model.h_dim"],
-        block=BlockSpec(branches=branches, norm_kind=cfg["model.norm"],
-                        norm_position=cfg["model.norm_position"]),
-        head_kind="classification",
-        n_classes=task.n_classes,
-        vocab_size=task.vocab_size,
-        pooling=cfg["model.pooling"],
-    )
-    model = ResampleNetwork(spec, seed=init_seed)
+    section = "task"
     try:
-        tcfg = TrainConfig(
-            lr=cfg["train.lr"],
-            weight_decay=cfg["train.weight_decay"],
-            batch_size=cfg["train.batch_size"],
-            epochs=cfg["train.epochs"],
-            scheduler=cfg["train.scheduler"],
-            plateau_patience=cfg["train.plateau_patience"],
-            plateau_factor=cfg["train.plateau_factor"],
-            clip_norm=cfg["train.clip_norm"],
-            seed=shuffle_seed,
+        task = SparseSignalTask(**_section(cfg, "task"), seed=data_seed)
+        section = "model"
+        branches = [
+            BranchSpec(kappa=k, n_state=cfg["model.n_state"],
+                       window_k=cfg["model.window_k"], basis_g=cfg["model.basis_g"])
+            for k in cfg["model.branches"]
+        ]
+        spec = NetworkSpec(
+            depth=cfg["model.depth"],
+            h_dim=cfg["model.h_dim"],
+            block=BlockSpec(branches=branches, norm_kind=cfg["model.norm"],
+                            norm_position=cfg["model.norm_position"]),
+            head_kind="classification",
+            n_classes=task.n_classes,
+            vocab_size=task.vocab_size,
+            pooling=cfg["model.pooling"],
         )
+        model = ResampleNetwork(spec, seed=init_seed)
+        section = "train"
+        tcfg = TrainConfig(**_section(cfg, "train"), seed=shuffle_seed)
     except ValueError as e:
-        raise CliError(f"train.{e}") from e
+        raise CliError(f"{section}.{e}") from e
     return model, task, tcfg
 
 
@@ -206,12 +195,12 @@ def cmd_eval(args) -> int:
         raise CliError(f"checkpoint {args.checkpoint!r} does not exist")
     try:
         model, extra = load_checkpoint(args.checkpoint)
-    except ValueError as e:  # also malformed JSON
+        if "task" not in extra:
+            raise ValueError("no task description to evaluate on")
+        task = SparseSignalTask(**extra["task"])
+    except (TypeError, ValueError) as e:  # also malformed JSON; TypeError: unknown task key
         raise CliError(f"bad checkpoint {args.checkpoint!r}: {e}") from e
-    if "task" not in extra:
-        raise CliError("checkpoint carries no task description to evaluate on")
     out = _prepare_out(args.out, args.force)
-    task = SparseSignalTask(**extra["task"])
     _, val = gen_sparse_task(task)
     metrics = evaluate(model, val)
     _write(out, "eval_metrics.json", dumps_json(metrics.to_dict()))
@@ -232,15 +221,13 @@ _KERNEL_SCHEMA = {
 
 def cmd_dump_kernel(args) -> int:
     cfg = _resolved(args, _KERNEL_SCHEMA)
-    if cfg["kernel.length"] < 1:
-        raise CliError("kernel.length must be at least 1")
-    out = _prepare_out(args.out, args.force)
     try:
         params = SsmParams(a_diag=cfg["kernel.a_diag"], b=cfg["kernel.b"], c=cfg["kernel.c"])
         step = zoh_discretize(params, cfg["kernel.delta"])
+        kernel = conv_kernel(step, params.c, cfg["kernel.length"])
     except ValueError as e:
-        raise CliError(str(e)) from e
-    kernel = conv_kernel(step, params.c, cfg["kernel.length"])
+        raise CliError(f"kernel.{e}") from e
+    out = _prepare_out(args.out, args.force)
     write_csv(os.path.join(out, "kernel.csv"), ["index", "value"],
               [[i, v] for i, v in enumerate(kernel)])
     return 0
@@ -281,7 +268,6 @@ def _load_sequence(path) -> np.ndarray:
 def cmd_compress_trace(args) -> int:
     cfg = _resolved(args, _TRACE_SCHEMA)
     x = _load_sequence(args.input)
-    out = _prepare_out(args.out, args.force)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     try:
         rcfg = init_resample_config(
@@ -289,7 +275,8 @@ def cmd_compress_trace(args) -> int:
             cfg["resample.basis_g"], rng, delta_base=cfg["resample.delta_base"],
         )
     except ValueError as e:
-        raise CliError(str(e)) from e
+        raise CliError(f"resample.{e}") from e
+    out = _prepare_out(args.out, args.force)
     deltas = compression_deltas(rcfg, x)
     plan = make_plan(deltas, rcfg.delta_base, rcfg.window_k)
     doc = {

@@ -39,6 +39,7 @@ __all__ = [
 # Verification thresholds: fitted slope band and closed-form agreement.
 SLOPE_BAND = (0.98, 1.02)
 RESIDUAL_LIMIT = 1e-9
+FIT_POINTS = 4  # smallest grid values the slope is fitted over
 
 # Beyond this, exp(a * t) has no significant bits left in float64.
 _OVERFLOW_GUARD = 50.0
@@ -165,11 +166,10 @@ class LinearityReport:
         }
 
 
-def linearity_sweep(inst: LeaveOneOutInstance, grid: np.ndarray | None = None,
-                    fit_points: int = 4) -> LinearityReport:
+def linearity_sweep(inst: LeaveOneOutInstance, grid: np.ndarray | None = None) -> LinearityReport:
     """Sweep Δ_m over the grid and fit the log-log slope.
 
-    The slope is fitted by least squares over the ``fit_points`` smallest
+    The slope is fitted by least squares over the ``FIT_POINTS`` smallest
     grid values only, since the linearity claim is asymptotic; the
     constant estimate is distance / Δ at the smallest point.  Any exactly
     zero distance at a nonzero Δ marks the instance degenerate and skips
@@ -199,8 +199,8 @@ def linearity_sweep(inst: LeaveOneOutInstance, grid: np.ndarray | None = None,
     if np.any(distances == 0.0):
         return LinearityReport(grid, distances, None, None, residual, True)
 
-    tail_d = np.log(grid[-fit_points:])
-    tail_y = np.log(distances[-fit_points:])
+    tail_d = np.log(grid[-FIT_POINTS:])
+    tail_y = np.log(distances[-FIT_POINTS:])
     slope = float(np.polyfit(tail_d, tail_y, 1)[0])
     c_estimate = float(distances[-1] / grid[-1])
     return LinearityReport(grid, distances, slope, c_estimate, residual, False)

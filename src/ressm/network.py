@@ -60,8 +60,13 @@ class BranchSpec:
     selective: bool | None = None  # default: selective iff resampled
 
     def __post_init__(self):
+        # Spec messages start with the field name, which the CLI prefixes
+        # with "model." to name the config key.
         if self.kappa is not None and not (0.0 < self.kappa <= 1.0):
             raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
+        for name in ("n_state", "window_k", "basis_g"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.selective is None:
             self.selective = self.kappa is not None
 
@@ -74,11 +79,11 @@ class BlockSpec:
 
     def __post_init__(self):
         if not self.branches:
-            raise ValueError("a block needs at least one branch")
+            raise ValueError("branches must hold at least one branch")
         if self.norm_kind not in ("rmsnorm", "batchnorm", "none"):
-            raise ValueError(f"unknown norm kind '{self.norm_kind}'")
+            raise ValueError(f"norm_kind must be rmsnorm, batchnorm or none, got '{self.norm_kind}'")
         if self.norm_position not in ("pre", "post_skip"):
-            raise ValueError(f"unknown norm position '{self.norm_position}'")
+            raise ValueError(f"norm_position must be pre or post_skip, got '{self.norm_position}'")
 
 
 @dataclass
@@ -98,22 +103,23 @@ class NetworkSpec:
 
     def __post_init__(self):
         if self.depth < 1:
-            raise ValueError("depth must be at least 1")
+            raise ValueError(f"depth must be at least 1, got {self.depth}")
+        if self.h_dim < len(self.block.branches):
+            raise ValueError(f"h_dim must be at least the number of branches, got {self.h_dim}")
         if self.head_kind != "classification":
-            raise ValueError(f"unknown head kind '{self.head_kind}'")
+            raise ValueError(f"head_kind must be classification, the one head kind, "
+                             f"got '{self.head_kind}'")
         if self.pooling not in ("mean", "last"):
-            raise ValueError(f"unknown pooling '{self.pooling}'")
+            raise ValueError(f"pooling must be mean or last, got '{self.pooling}'")
         if (self.vocab_size is None) == (self.input_dim is None):
-            raise ValueError("set exactly one of vocab_size or input_dim")
+            raise ValueError("vocab_size or input_dim must be set, not both")
         if not self.n_classes:
-            raise ValueError("classification head needs n_classes")
+            raise ValueError("n_classes must be set for the classification head")
 
     def branch_widths(self) -> list[int]:
         """Even channel split; the remainder goes to the first branch."""
         n = len(self.block.branches)
         base = self.h_dim // n
-        if base == 0:
-            raise ValueError("more branches than channels")
         widths = [base] * n
         widths[0] += self.h_dim - base * n
         return widths
@@ -161,49 +167,36 @@ def classification_preset(depth: int, n_classes: int, vocab_size: int | None = N
 # normalisation ops
 
 
-def rmsnorm(x, gain, eps: float = RMSNORM_EPS) -> ad.Tensor:
-    """Scale rows to unit root-mean-square, then apply the per-channel gain.
-
-    Accepts [H] or [L, H]; rows normalise independently.
-    """
+def rmsnorm(x, gain) -> ad.Tensor:
+    """Scale each row of [L, H] to unit root-mean-square, then apply the
+    per-channel gain."""
     x_t = x if isinstance(x, ad.Tensor) else ad.constant(x)
     g_t = gain if isinstance(gain, ad.Tensor) else ad.constant(gain)
-    squeeze = x_t.ndim == 1
-    xv = x_t.data.reshape(1, -1) if squeeze else x_t.data
+    xv = x_t.data
+    if xv.ndim != 2:
+        raise ad.ShapeError(f"rmsnorm expects [L, H], got {x_t.shape}")
     gv = g_t.data
     H = xv.shape[1]
-    r = np.sqrt(np.mean(xv * xv, axis=1, keepdims=True) + eps)  # [L,1]
+    r = np.sqrt(np.mean(xv * xv, axis=1, keepdims=True) + RMSNORM_EPS)  # [L,1]
     xhat = xv / r
     out = xhat * gv[None, :]
 
     def dx(dy):
-        dy = dy.reshape(xv.shape)
         dot = np.sum(dy * gv[None, :] * xv, axis=1, keepdims=True)
-        g = dy * gv[None, :] / r - xv * dot / (H * r**3)
-        return g.reshape(x_t.shape)
+        return dy * gv[None, :] / r - xv * dot / (H * r**3)
 
     def dg(dy):
-        dy = dy.reshape(xv.shape)
         return np.sum(dy * xhat, axis=0)
 
-    value = out.reshape(x_t.shape)
-    return ad.custom_op("rmsnorm", value, [(x_t, dx), (g_t, dg)])
+    return ad.custom_op("rmsnorm", out, [(x_t, dx), (g_t, dg)])
 
 
-def batchnorm(
-    x,
-    gamma,
-    beta,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    train: bool,
-    momentum: float = BATCHNORM_MOMENTUM,
-    eps: float = BATCHNORM_EPS,
-) -> ad.Tensor:
+def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
+              train: bool) -> ad.Tensor:
     """Per-channel normalisation over the position axis of [L, H].
 
     Train mode normalises with the current moments and folds them into
-    the running buffers (in place) with the given momentum; eval mode
+    the running buffers (in place) with ``BATCHNORM_MOMENTUM``; eval mode
     normalises with the running buffers.  One sequence at a time is the
     batch here, so the moments are over positions.
     """
@@ -219,15 +212,15 @@ def batchnorm(
     if train:
         mean = xv.mean(axis=0)
         var = xv.var(axis=0)  # biased, matching the normalisation
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BATCHNORM_MOMENTUM
+        running_mean += BATCHNORM_MOMENTUM * mean
+        running_var *= 1.0 - BATCHNORM_MOMENTUM
+        running_var += BATCHNORM_MOMENTUM * var
     else:
         mean = running_mean
         var = running_var
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
     xhat = (xv - mean[None, :]) * inv[None, :]
     out = xhat * gv[None, :] + bv[None, :]
 

@@ -84,8 +84,7 @@ class ResampleConfig:
             raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
         if self.delta_base <= 0.0:
             raise ValueError("delta_base must be positive")
-        if self.window_k < 1 or self.basis_g < 1:
-            raise ValueError("window and basis sizes must be at least 1")
+        _check_sizes(self.window_k, self.basis_g)
         if len(self.mus) != self.basis_g:
             raise ValueError("mus length must equal basis_g")
         width = len(self.theta_delta)
@@ -120,6 +119,12 @@ class ResamplePlan:
                 raise ValueError("neighbor index out of range")
 
 
+def _check_sizes(window_k: int, basis_g: int) -> None:
+    for name, size in (("window_k", window_k), ("basis_g", basis_g)):
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
+
+
 def init_resample_config(
     width: int,
     kappa: float,
@@ -130,6 +135,7 @@ def init_resample_config(
 ) -> ResampleConfig:
     """Fan-in uniform weights; basis means on an even grid spanning the
     realizable distance range [-K delta, K delta]."""
+    _check_sizes(window_k, basis_g)  # before the sizes shape any draw
     gamma_rows = window_k * (width + basis_g)
     return ResampleConfig(
         kappa=kappa,

@@ -48,10 +48,8 @@ def _emit(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps_json(obj, indent: bool = True) -> str:
-    """Deterministic JSON text; parses with any standard JSON reader."""
-    if not indent:
-        return _emit(obj)
+def dumps_json(obj) -> str:
+    """Deterministic indented JSON text; parses with any standard JSON reader."""
     return _pretty(obj, 0) + "\n"
 
 

@@ -179,7 +179,7 @@ def conv_kernel(step: DiscreteStep, c: np.ndarray, length: int) -> np.ndarray:
     K[k] = <c, a_bar^k * b_bar> for k = 0..length-1.
     """
     if length < 1:
-        raise ValueError("kernel length must be at least 1")
+        raise ValueError(f"length must be at least 1, got {length}")
     c = np.asarray(c, dtype=np.float64)
     k = np.empty(length)
     pw = step.b_bar.copy()

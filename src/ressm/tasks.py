@@ -20,6 +20,9 @@ __all__ = ["SparseSignalTask", "Example", "gen_sparse_task", "oracle_predict", "
 
 @dataclass(frozen=True)
 class SparseSignalTask:
+    """Task sizes.  ``ressm train`` exposes every field but ``seed`` as a
+    ``task.*`` key, parsed by the default's type."""
+
     seq_len: int = 256
     n_classes: int = 4
     n_informative: int = 4
@@ -29,10 +32,14 @@ class SparseSignalTask:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_informative > self.seq_len:
-            raise ValueError("more informative positions than sequence slots")
-        if self.n_classes < 2 or self.noise_vocab < 1:
-            raise ValueError("need at least 2 classes and 1 noise token")
+        # Each message starts with the field name, which the CLI prefixes
+        # with "task." to name the config key.
+        for name, low in (("seq_len", 1), ("n_classes", 2), ("noise_vocab", 1),
+                          ("n_train", 1), ("n_val", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not (0 <= self.n_informative <= self.seq_len):
+            raise ValueError(f"n_informative must lie in [0, seq_len], got {self.n_informative}")
 
     @property
     def vocab_size(self) -> int:

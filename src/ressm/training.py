@@ -29,16 +29,21 @@ __all__ = [
 ]
 
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
+
 class TrainingDiverged(RuntimeError):
     """Loss went non-finite; carries the epoch/batch it happened in."""
 
 
 @dataclass
 class TrainConfig:
+    """Optimizer and loop settings.  ``ressm train`` exposes every field
+    but ``seed`` as a ``train.*`` key, parsed by the default's type."""
+
     lr: float = 1e-3
     weight_decay: float = 0.05
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     batch_size: int = 16
     epochs: int = 100
     scheduler: str = "plateau"  # cosine | plateau | none
@@ -72,7 +77,7 @@ def adamw_step(params: dict, grads: dict, cfg: TrainConfig, state: dict,
         state["m"] = {k: np.zeros_like(v) for k, v in params.items()}
         state["v"] = {k: np.zeros_like(v) for k, v in params.items()}
     lr = cfg.lr if lr is None else lr
-    b1, b2 = cfg.betas
+    b1, b2 = ADAM_BETAS
     state["step"] += 1
     t = state["step"]
     for name, p in params.items():
@@ -87,7 +92,7 @@ def adamw_step(params: dict, grads: dict, cfg: TrainConfig, state: dict,
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1**t)
         v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p -= lr * cfg.weight_decay * p
     return state
 
@@ -152,7 +157,7 @@ class TrainResult:
         ]
 
 
-def _batch_grads(model, batch, cfg, epoch, batch_idx):
+def _batch_grads(model, batch, epoch, batch_idx):
     """Average gradients over one batch; returns (grads, loss, top1, top5)."""
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     losses = []
@@ -195,7 +200,6 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
     best_epoch = -1
     best_params = copy.deepcopy(model.params)
     best_buffers = copy.deepcopy(model.buffers)
-    plateau_best = math.inf
     plateau_wait = 0
     lr = cfg.lr
 
@@ -208,7 +212,7 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
         ep_losses, ep_h1, ep_h5, n_seen = [], 0.0, 0.0, 0
         for bi in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[bi : bi + cfg.batch_size]]
-            grads, bloss, b1, b5 = _batch_grads(model, batch, cfg, epoch, bi // cfg.batch_size)
+            grads, bloss, b1, b5 = _batch_grads(model, batch, epoch, bi // cfg.batch_size)
             clip_global_norm(grads, cfg.clip_norm)
             adamw_step(model.params, grads, cfg, opt_state, lr=lr)
             ep_losses.append(bloss * len(batch))
@@ -229,15 +233,15 @@ def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> T
             "top1": val.top1, "top5": val.top5, "ppl": val.perplexity,
         })
 
-        if val.loss < best_val:
+        improved = val.loss < best_val
+        if improved:
             best_val = val.loss
             best_epoch = epoch
             best_params = copy.deepcopy(model.params)
             best_buffers = copy.deepcopy(model.buffers)
 
         if cfg.scheduler == "plateau":
-            if val.loss < plateau_best:
-                plateau_best = val.loss
+            if improved:
                 plateau_wait = 0
             else:
                 plateau_wait += 1

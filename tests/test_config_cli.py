@@ -2,18 +2,24 @@
 
 import json
 import math
+import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from test_acceptance import acceptance_model_spec
 
+from ressm import cli
 from ressm import config as cfgmod
 from ressm import network as net
 from ressm.checkpoint import load_checkpoint, save_checkpoint
 from ressm.cli import main
 from ressm.serialize import dumps_json, fmt_float
 from ressm.tasks import SparseSignalTask
+from ressm.training import TrainConfig
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 SMOKE_TRAIN = """
@@ -95,6 +101,7 @@ class TestVerifyCommand:
         code = main(["verify-linearity", "--out", str(tmp_path / "g"),
                      "--set", "verify.grid_points=2"])
         assert code == 2
+        assert not (tmp_path / "g").exists()
 
     def test_existing_out_without_force(self, tmp_path):
         out = tmp_path / "dir"
@@ -167,6 +174,78 @@ class TestTrainEvalCommands:
         assert "train.epochs" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, field", [
+        ("model.window_k=0", "model.window_k"),
+        ("model.h_dim=0", "model.h_dim"),
+        ("model.h_dim=1", "model.h_dim"),  # fewer channels than the two branches
+        ("model.n_state=0", "model.n_state"),
+        ("model.basis_g=0", "model.basis_g"),
+        ("model.depth=0", "model.depth"),
+        ("model.norm=foo", "model.norm_kind"),
+        ("model.norm_position=mid", "model.norm_position"),
+        ("model.pooling=max", "model.pooling"),
+        ("model.branches=base,1.5", "model.kappa"),
+        ("task.seq_len=0", "task.seq_len"),
+        ("task.n_informative=17", "task.n_informative"),
+        ("task.n_classes=1", "task.n_classes"),
+        ("task.n_train=0", "task.n_train"),
+        ("task.n_val=0", "task.n_val"),
+        ("train.batch_size=0", "train.batch_size"),
+        ("train.scheduler=step", "train.scheduler"),
+    ])
+    def test_bad_setting_rejected_before_output(self, tmp_path, capsys, setting, field):
+        out = tmp_path / "run"
+        assert main(["train", "--out", str(out), "--set", "train.epochs=1",
+                     "--set", "task.seq_len=16", "--set", "task.n_train=4",
+                     "--set", "task.n_val=2", "--set", setting]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_schema_pinned(self):
+        # Every key, parser and default, in order.  The task.* and train.*
+        # keys come from record fields, so renaming or re-defaulting a
+        # field changes the CLI and fails here.
+        want = {
+            "model.h_dim": (int, 16),
+            "model.depth": (int, 2),
+            "model.n_state": (int, 4),
+            "model.window_k": (int, 4),
+            "model.basis_g": (int, 8),
+            "model.branches": (cfgmod.parse_branches, [None, 0.5]),
+            "model.norm": (str, "rmsnorm"),
+            "model.norm_position": (str, "pre"),
+            "model.pooling": (str, "mean"),
+            "task.seq_len": (int, 256),
+            "task.n_classes": (int, 4),
+            "task.n_informative": (int, 4),
+            "task.noise_vocab": (int, 8),
+            "task.n_train": (int, 128),
+            "task.n_val": (int, 64),
+            "train.lr": (float, 1e-3),
+            "train.weight_decay": (float, 0.05),
+            "train.batch_size": (int, 16),
+            "train.epochs": (int, 100),
+            "train.scheduler": (str, "plateau"),
+            "train.plateau_patience": (int, 5),
+            "train.plateau_factor": (float, 0.1),
+            "train.clip_norm": (float, 1.0),
+        }
+        got = {k: (f.parse, f.default) for k, f in cli._TRAIN_SCHEMA.items()}
+        assert list(got) == list(want)
+        assert got == want
+
+    def test_sparse_task_config_builds_criterion_8_run(self):
+        raw = cfgmod.load_config(os.path.join(ROOT, "configs", "sparse_task.cfg"))
+        model, task, tcfg = cli._build_run(cfgmod.resolve(raw, cli._TRAIN_SCHEMA), seed=0)
+        # Criterion 8's settings, seeds aside.
+        assert replace(task, seed=101) == SparseSignalTask(
+            seq_len=256, n_informative=4, n_classes=4, noise_vocab=8, n_train=128,
+            n_val=64, seed=101)
+        assert model.spec == acceptance_model_spec(task)
+        assert replace(tcfg, seed=102) == TrainConfig(
+            lr=3e-3, weight_decay=0.01, epochs=100, batch_size=16, scheduler="cosine",
+            seed=102)
+
     def test_missing_checkpoint(self, tmp_path):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "y")])
@@ -226,6 +305,22 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("task_edit, message", [
+        ({"n_val": 0}, "n_val"),
+        ({"bogus": 1}, "bogus"),
+    ])
+    def test_bad_task_record_is_usage_error_before_output(self, tmp_path, capsys,
+                                                         task_edit, message):
+        path = tmp_path / "bad_task.json"
+        doc = _small_checkpoint(path)
+        doc["extra"]["task"].update(task_edit)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDumpKernel:
     def test_half_life_geometric_rows(self, tmp_path):
         out = tmp_path / "k"
@@ -253,6 +348,19 @@ class TestDumpKernel:
                      "--set", "kernel.selective=true"])
         assert code == 2
         assert "kernel.selective" in capsys.readouterr().err
+        assert not (tmp_path / "k2").exists()
+
+    @pytest.mark.parametrize("setting, field", [
+        ("kernel.a_diag=1.0", "kernel.a_diag"),
+        ("kernel.b=1,2", "kernel.a_diag, b, c"),
+        ("kernel.delta=-1", "kernel.delta"),
+        ("kernel.length=0", "kernel.length"),
+    ])
+    def test_bad_setting_rejected_before_output(self, tmp_path, capsys, setting, field):
+        out = tmp_path / "k3"
+        assert main(["dump-kernel", "--out", str(out), "--set", setting]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompressTrace:
@@ -300,10 +408,28 @@ class TestCompressTrace:
         path.write_text('{"x": "words"}')
         assert main(["compress-trace", "--input", str(path),
                      "--out", str(tmp_path / "t5")]) == 2
+        assert not (tmp_path / "t4").exists() and not (tmp_path / "t5").exists()
 
     def test_missing_input(self, tmp_path):
         assert main(["compress-trace", "--input", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "t6")]) == 2
+        assert not (tmp_path / "t6").exists()
+
+    @pytest.mark.parametrize("setting, field", [
+        ("resample.basis_g=0", "resample.basis_g"),
+        ("resample.basis_g=-2", "resample.basis_g"),
+        ("resample.window_k=0", "resample.window_k"),
+        ("resample.window_k=-1", "resample.window_k"),
+        ("resample.kappa=0", "resample.kappa"),
+        ("resample.delta_base=0", "resample.delta_base"),
+    ])
+    def test_bad_setting_rejected_before_output(self, tmp_path, capsys, setting, field):
+        path, _ = self.write_input(tmp_path)
+        out = tmp_path / "t9"
+        assert main(["compress-trace", "--input", str(path), "--out", str(out),
+                     "--set", setting]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("entry", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_input_rejected_before_output(self, tmp_path, capsys, entry):

@@ -33,8 +33,8 @@ def token_spec(depth=1, h_dim=6, vocab=10, kappas=(None, 0.5), n_classes=4, **kw
 
 class TestNorms:
     def test_rmsnorm_ones_is_identity(self):
-        out = net.rmsnorm(np.ones(5), np.ones(5))
-        np.testing.assert_allclose(out.numpy(), np.ones(5), rtol=1e-8)
+        out = net.rmsnorm(np.ones((1, 5)), np.ones(5))
+        np.testing.assert_allclose(out.numpy(), np.ones((1, 5)), rtol=1e-8)
 
     def test_rmsnorm_output_rms_is_one(self):
         r = np.random.default_rng(0)

@@ -31,9 +31,10 @@ class TestAdamW:
 
     def test_single_step_matches_hand_computation(self):
         # Independent inline evaluation of the update rule for f(w) = w^2
-        # at w = 1 (gradient 2).
+        # at w = 1 (gradient 2); the inline betas and eps pin ADAM_BETAS
+        # and ADAM_EPS.
         lr, wd, b1, b2, eps = 0.1, 0.0, 0.9, 0.999, 1e-8
-        cfg = training.TrainConfig(lr=lr, weight_decay=wd, betas=(b1, b2), eps=eps)
+        cfg = training.TrainConfig(lr=lr, weight_decay=wd)
         params = {"w": np.array(1.0)}
         training.adamw_step(params, {"w": np.array(2.0)}, cfg, {})
         m = (1 - b1) * 2.0
@@ -241,11 +242,10 @@ class TestTapeLifetime:
         t = tasks.SparseSignalTask(seq_len=12, n_train=4, n_val=2, seed=28)
         model = net.ResampleNetwork(tiny_spec(vocab=t.vocab_size, n_classes=4), seed=29)
         train_set, _ = tasks.gen_sparse_task(t)
-        cfg = training.TrainConfig(batch_size=4)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            training._batch_grads(model, train_set, cfg, 0, 0)
+            training._batch_grads(model, train_set, 0, 0)
             assert len(tapes) == len(train_set)
             assert all(ref() is None for ref in tapes)
         finally:
