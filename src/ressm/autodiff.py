@@ -53,6 +53,7 @@ __all__ = [
     "reshape",
     "cross_entropy",
     "custom_op",
+    "shared_grads",
     "grad_check",
 ]
 
@@ -91,7 +92,7 @@ class Tensor:
 
     def __init__(self, values, tape=None, node_id=None):
         arr = np.array(values, dtype=np.float64)  # defensive copy
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NonFiniteError("non-finite value in tensor construction")
         arr.flags.writeable = False
         self.data = arr
@@ -251,41 +252,59 @@ def _lift(x) -> Tensor:
     return Tensor(x)
 
 
-def _common_tape(tensors) -> Tape | None:
+def custom_op(kind: str, value: np.ndarray, pairs) -> Tensor:
+    """Record an op with hand-written backward rules.
+
+    ``pairs`` is a sequence of ``(tensor, grad_fn)`` where ``grad_fn``
+    maps the upstream gradient to that operand's gradient.  Untracked
+    operands may be listed; they are skipped.  A tensor may be listed
+    more than once; its gradients then accumulate in the listed order.
+    This is the extension point the scan, normalisation and resampler
+    ops build on.
+    """
+    value = np.asarray(value, dtype=np.float64)
+    if not np.isfinite(value).all():
+        raise NonFiniteError(f"non-finite result in op '{kind}'")
+    if value.base is not None:  # a view: the result must own its memory
+        value = value.copy()
     tape = None
-    for t in tensors:
+    parents = []
+    fns = []
+    for t, fn in pairs:
         if t.tape is None:
             continue
         if tape is None:
             tape = t.tape
         elif tape is not t.tape:
             raise TapeError("operands live on different tapes")
-    return tape
+        if t.node_id is not None:
+            parents.append(t.node_id)
+            fns.append(fn)
+    if not parents:
+        return Tensor._wrap(value, None, None)
 
-
-def custom_op(kind: str, value: np.ndarray, pairs) -> Tensor:
-    """Record an op with hand-written backward rules.
-
-    ``pairs`` is a sequence of ``(tensor, grad_fn)`` where ``grad_fn``
-    maps the upstream gradient to that operand's gradient.  Untracked
-    operands may be listed; they are skipped.  This is the extension
-    point the scan and normalisation ops build on.
-    """
-    value = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(value)):
-        raise NonFiniteError(f"non-finite result in op '{kind}'")
-    tape = _common_tape([t for t, _ in pairs])
-    tracked = [(t, fn) for t, fn in pairs if t.node_id is not None]
-    if tape is None or not tracked:
-        return Tensor._wrap(value.copy() if not value.flags.owndata else value, None, None)
-
-    fns = tuple(fn for _, fn in tracked)
-
-    def vjp(g, _fns=fns):
+    def vjp(g, _fns=tuple(fns)):
         return tuple(np.asarray(fn(g)) for fn in _fns)
 
-    nid = tape._append(kind, tuple(t.node_id for t, _ in tracked), vjp)
-    return Tensor._wrap(value.copy() if not value.flags.owndata else value, tape, nid)
+    return Tensor._wrap(value, tape, tape._append(kind, tuple(parents), vjp))
+
+
+def shared_grads(backward):
+    """One backward pass shared by the grad_fns of a fused ``custom_op``.
+
+    ``backward`` maps the upstream gradient to a dict of every operand's
+    gradient; the returned function runs it once per upstream gradient
+    and serves each operand's entry from that run.  A backward after
+    ``Tape.reset()`` brings a new upstream gradient, so it runs again.
+    """
+    memo = [None, None]
+
+    def grads(g):
+        if memo[0] is not g:
+            memo[0], memo[1] = g, backward(g)
+        return memo[1]
+
+    return grads
 
 
 def _scalar_like(t: Tensor) -> bool:

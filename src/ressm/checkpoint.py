@@ -29,6 +29,8 @@ def _pack_arrays(arrays: dict) -> dict:
 def _unpack_arrays(packed: dict, expected: dict, kind: str) -> dict:
     """Arrays of one section, checked against the names and shapes the
     spec implies; every error names the offending key."""
+    if not isinstance(packed, dict):
+        raise ValueError(f"checkpoint {kind} must be an object, got {type(packed).__name__}")
     missing = sorted(expected.keys() - packed.keys())
     if missing:
         raise ValueError(f"checkpoint {kind} lack {', '.join(map(repr, missing))}")
@@ -69,12 +71,14 @@ def save_checkpoint(path, model: ResampleNetwork, extra: dict | None = None) -> 
 def load_checkpoint(path) -> tuple[ResampleNetwork, dict]:
     """Rebuild the model; returns (model, extra metadata).
 
-    Raises ValueError, naming the key, when the document does not match
-    its own spec: a weight missing or unexpected, of the wrong shape, or
-    not finite.
+    Raises ValueError, naming the section or key, when the document is
+    not shaped like a checkpoint or does not match its own spec: a weight
+    missing or unexpected, of the wrong shape, or not finite.
     """
     with open(path) as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"checkpoint must be an object, got {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported checkpoint format version {version!r}")
@@ -90,4 +94,7 @@ def load_checkpoint(path) -> tuple[ResampleNetwork, dict]:
         params=_unpack_arrays(doc.get("params", {}), expected["param"], "params"),
         buffers=_unpack_arrays(doc.get("buffers", {}), expected["buffer"], "buffers"),
     )
-    return model, doc.get("extra", {})
+    extra = doc.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint extra must be an object, got {type(extra).__name__}")
+    return model, extra

@@ -198,6 +198,13 @@ def cmd_eval(args) -> int:
         if "task" not in extra:
             raise ValueError("no task description to evaluate on")
         task = SparseSignalTask(**extra["task"])
+        spec = model.spec
+        if spec.vocab_size is None or task.vocab_size > spec.vocab_size:
+            raise ValueError(f"the task's {task.vocab_size} token ids (task.n_classes + "
+                             f"task.noise_vocab) exceed spec.vocab_size {spec.vocab_size}")
+        if task.n_classes != spec.n_classes:
+            raise ValueError(f"task.n_classes {task.n_classes} differs from "
+                             f"spec.n_classes {spec.n_classes}")
     except (TypeError, ValueError) as e:  # also malformed JSON; TypeError: unknown task key
         raise CliError(f"bad checkpoint {args.checkpoint!r}: {e}") from e
     out = _prepare_out(args.out, args.force)

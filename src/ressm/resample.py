@@ -14,6 +14,11 @@ and the time axes (hence into the interval map).  Each step has one
 implementation, a tape op (``interval_map``, ``compress_tracked``,
 ``decompress_tracked``) that the network runs; ``compression_deltas``,
 ``compress`` and ``decompress`` are those ops run on numpy constants.
+``interval_map`` and ``compress_tracked`` are one tape node each, with
+a hand-written backward that serves every operand from one pass: on
+sequences of a few hundred rows a node's bookkeeping costs more than
+its arithmetic.  The tests hold both to the same steps composed from
+primitive ops.
 
 Both routings rest on one property: source times and grid times are
 increasing, so distance to a fixed time falls up to its ``searchsorted``
@@ -154,14 +159,33 @@ def interval_map(x_t: ad.Tensor, theta_delta_t: ad.Tensor, delta_t: ad.Tensor,
     + delta kappa for [L, W] features, a [W] map and a scalar delta.
 
     The [L] result lies strictly inside (kappa delta, delta) for
-    kappa < 1 and equals delta everywhere for kappa = 1.
+    kappa < 1 and equals delta everywhere for kappa = 1.  One tape node;
+    its backward returns delta's two terms separately, so they reach
+    delta's gradient in the order, and with the rounding, of the
+    composed ops.
     """
-    L, width = x_t.shape
-    pre_act = ad.reshape(ad.matmul(x_t, ad.reshape(theta_delta_t, (width, 1))), (L,))
-    return ad.add(
-        ad.mul(ad.sigmoid(pre_act), ad.mul(delta_t, 1.0 - kappa)),
-        ad.mul(delta_t, kappa),
-    )
+    x, theta, delta = x_t.data, theta_delta_t.data, delta_t.data
+    L, width = x.shape
+    theta_col = theta.reshape(width, 1)
+    sig = ad._sigmoid((x @ theta_col).reshape(L))
+    rate = delta * (1.0 - kappa)
+
+    def backward(g):
+        d_pre = (g * rate * sig * (1.0 - sig)).reshape(L, 1)
+        return {
+            "x": d_pre @ theta_col.T,
+            "theta": (x.T @ d_pre).reshape(theta.shape),
+            "floor": np.reshape(np.sum(g), delta.shape) * kappa,
+            "rate": np.reshape(np.sum(g * sig), delta.shape) * (1.0 - kappa),
+        }
+
+    grads = ad.shared_grads(backward)
+    return ad.custom_op("interval_map", sig * rate + delta * kappa, [
+        (x_t, lambda g: grads(g)["x"]),
+        (theta_delta_t, lambda g: grads(g)["theta"]),
+        (delta_t, lambda g: grads(g)["floor"]),
+        (delta_t, lambda g: grads(g)["rate"]),
+    ])
 
 
 def compression_deltas(cfg: ResampleConfig, x: np.ndarray) -> np.ndarray:
@@ -306,27 +330,56 @@ def compress_tracked(
 
     Row l of the feature matrix is the neighbor blocks in ascending time
     order, each block [x_k, exp(-(dst_l - t_k - mus)^2)], mixed by
-    theta_gamma.  All D K blocks are built in one pass of primitive ops,
-    so the tape holds the same 14 nodes at any K.  Gradients reach the
-    inputs, the mixing map, the basis means, and both time axes; neighbor
-    windows stay frozen integer routing from the plan.
+    theta_gamma.  The whole step is one tape node at any K, whose
+    backward gives all five operands their gradients from one pass:
+    the inputs, the mixing map, the basis means, and both time axes.
+    Neighbor windows stay frozen integer routing from the plan.
     """
     if plan.neighbors is None:
         raise ValueError("plan has no neighbor windows; use make_plan")
-    if x_t.shape[0] != len(plan.src_times):
+    x, gamma, mus = x_t.data, theta_gamma_t.data, mus_t.data
+    if x.shape[0] != len(plan.src_times):
         raise ValueError("sequence length does not match the plan")
-    n_dst, window_k = plan.neighbors.shape
-    rows = n_dst * window_k
-    # One row per (grid point, neighbor) pair, grid point major, so the
-    # final reshape lays each grid point's K blocks side by side.
-    idx = plan.neighbors.reshape(-1)
-    xk = ad.gather_rows(x_t, idx)
-    dst_k = ad.reshape(ad.tile_cols(dst_times_t, window_k), (rows,))
-    dk = ad.sub(dst_k, ad.gather_rows(src_times_t, idx))
-    diff = ad.sub(ad.tile_cols(dk, mus_t.size), ad.tile_rows(mus_t, rows))
-    eps = ad.exp(ad.neg(ad.mul(diff, diff)))
-    feats = ad.reshape(ad.concat([xk, eps], axis=1), (n_dst, -1))
-    return ad.matmul(feats, theta_gamma_t)
+    src, dst = src_times_t.data, dst_times_t.data
+    nbrs = plan.neighbors
+    n_dst, window_k = nbrs.shape
+    width = x.shape[1]
+    # Each grid point's K blocks side by side: [n_dst, K, W + G], written once.
+    feats = np.empty((n_dst, window_k, width + mus.size))
+    feats[:, :, :width] = x[nbrs]
+    dk = dst[:, None] - src[nbrs]
+    diff = dk[:, :, None] - mus
+    feats[:, :, width:] = np.exp(-(diff * diff))
+    flat = feats.reshape(n_dst, -1)
+
+    def backward(g):
+        idx = nbrs.reshape(-1)
+        d_blocks = (g @ gamma.T).reshape(idx.size, -1)
+        d_x = np.zeros(x.shape)
+        np.add.at(d_x, idx, d_blocks[:, :width])
+        # d exp(-diff^2) / d diff = -2 diff exp(-diff^2); diff is
+        # recomputed rather than kept alive between the passes.
+        eps = feats.reshape(idx.size, -1)[:, width:]
+        d_diff = d_blocks[:, width:] * eps * (dk.reshape(-1, 1) - mus) * -2.0
+        d_dk = d_diff.sum(axis=1)
+        d_src = np.zeros(src.shape)
+        np.add.at(d_src, idx, -d_dk)
+        return {
+            "x": d_x,
+            "gamma": flat.T @ g,
+            "mus": -d_diff.sum(axis=0),
+            "src": d_src,
+            "dst": d_dk.reshape(n_dst, window_k).sum(axis=1),
+        }
+
+    grads = ad.shared_grads(backward)
+    return ad.custom_op("compress", flat @ gamma, [
+        (x_t, lambda g: grads(g)["x"]),
+        (theta_gamma_t, lambda g: grads(g)["gamma"]),
+        (mus_t, lambda g: grads(g)["mus"]),
+        (src_times_t, lambda g: grads(g)["src"]),
+        (dst_times_t, lambda g: grads(g)["dst"]),
+    ])
 
 
 def decompress_tracked(y_bar_t: ad.Tensor, plan: ResamplePlan) -> ad.Tensor:

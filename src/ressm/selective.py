@@ -149,22 +149,16 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u) -> ad.Tensor:
     with np.errstate(all="ignore"):  # non-finite results surface via custom_op
         ys, saved = _scan_forward(a, d, b, c, uu)
 
-    cache: dict = {}
-
-    def _grads(g):
-        if not cache:
-            cache.update(_scan_backward(g, a, d, b, c, uu, saved))
-        return cache
-
+    grads = ad.shared_grads(lambda g: _scan_backward(g, a, d, b, c, uu, saved))
     return ad.custom_op(
         "ssm_scan",
         ys,
         [
-            (a_t, lambda g: _grads(g)["a"]),
-            (d_t, lambda g: _grads(g)["deltas"]),
-            (b_t, lambda g: _grads(g)["b_seq"]),
-            (c_t, lambda g: _grads(g)["c_seq"]),
-            (u_t, lambda g: _grads(g)["u"]),
+            (a_t, lambda g: grads(g)["a"]),
+            (d_t, lambda g: grads(g)["deltas"]),
+            (b_t, lambda g: grads(g)["b_seq"]),
+            (c_t, lambda g: grads(g)["c_seq"]),
+            (u_t, lambda g: grads(g)["u"]),
         ],
     )
 

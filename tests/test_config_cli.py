@@ -320,6 +320,41 @@ class TestCheckpointValidation:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("reshape, section", [
+        (lambda doc: [], "checkpoint must be an object"),
+        (lambda doc: {**doc, "params": []}, "checkpoint params must be an object"),
+        (lambda doc: {**doc, "buffers": "x"}, "checkpoint buffers must be an object"),
+        (lambda doc: {**doc, "extra": []}, "checkpoint extra must be an object"),
+    ], ids=["top-level", "params", "buffers", "extra"])
+    def test_misshapen_document_is_usage_error_before_output(self, tmp_path, capsys,
+                                                             reshape, section):
+        path = tmp_path / "bad_shape.json"
+        path.write_text(json.dumps(reshape(_small_checkpoint(path))))
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 2
+        assert section in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match=section):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("task_edit, keys", [
+        # 4 + 9 token ids against the model's 12.
+        ({"noise_vocab": 9}, ("task.noise_vocab", "spec.vocab_size")),
+        # 3 + 8 ids fit, but the head has 4 classes.
+        ({"n_classes": 3}, ("task.n_classes", "spec.n_classes")),
+    ], ids=["vocab_size", "n_classes"])
+    def test_task_unfit_for_model_is_usage_error_before_output(self, tmp_path, capsys,
+                                                              task_edit, keys):
+        path = tmp_path / "unfit_task.json"
+        doc = _small_checkpoint(path)
+        doc["extra"]["task"].update(task_edit)
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys)
+        assert not out.exists()
+
 
 class TestDumpKernel:
     def test_half_life_geometric_rows(self, tmp_path):

@@ -265,6 +265,22 @@ def bench_layout(layout):
                            n_classes=4, vocab_size=12)
 
 
+class TestTapeSize:
+    @pytest.mark.parametrize("layout, seq_len, ceiling", [
+        ("criterion8", 256, 94),
+        ("preset", 32, 148),
+    ])
+    def test_train_example_node_ceiling(self, layout, seq_len, ceiling):
+        # Each node costs Python bookkeeping on top of its arithmetic; at
+        # L = 32 the node count, not the array work, sets the step time.
+        model = net.ResampleNetwork(bench_layout(layout), seed=32)
+        ids = np.random.default_rng(33).integers(0, 12, size=seq_len)
+        tape = ad.Tape()
+        logits, _ = model.forward(ids, tape=tape, train=True)
+        ad.cross_entropy(logits, 0)
+        assert len(tape.nodes) <= ceiling  # weights, forward ops and the loss
+
+
 class TestInit:
     def test_mode_ladder(self):
         model = net.ResampleNetwork(feature_spec(h_dim=4, kappas=(None, 0.5)), seed=0)

@@ -18,6 +18,114 @@ def make_cfg(width=3, kappa=0.5, window_k=2, basis_g=4, seed=0, delta_base=1.0):
                                    np.random.default_rng(seed), delta_base)
 
 
+def composed_interval_map(x_t, theta_delta_t, delta_t, kappa):
+    """``rs.interval_map`` composed from primitive tape ops: the oracle
+    the fused op is held to."""
+    L, width = x_t.shape
+    pre_act = ad.reshape(ad.matmul(x_t, ad.reshape(theta_delta_t, (width, 1))), (L,))
+    return ad.add(
+        ad.mul(ad.sigmoid(pre_act), ad.mul(delta_t, 1.0 - kappa)),
+        ad.mul(delta_t, kappa),
+    )
+
+
+def composed_compress(x_t, plan, theta_gamma_t, mus_t, src_times_t, dst_times_t):
+    """``rs.compress_tracked`` composed from primitive tape ops, one row
+    per (grid point, neighbour) pair: the oracle the fused op is held to."""
+    n_dst, window_k = plan.neighbors.shape
+    rows = n_dst * window_k
+    idx = plan.neighbors.reshape(-1)
+    xk = ad.gather_rows(x_t, idx)
+    dst_k = ad.reshape(ad.tile_cols(dst_times_t, window_k), (rows,))
+    dk = ad.sub(dst_k, ad.gather_rows(src_times_t, idx))
+    diff = ad.sub(ad.tile_cols(dk, mus_t.size), ad.tile_rows(mus_t, rows))
+    eps = ad.exp(ad.neg(ad.mul(diff, diff)))
+    feats = ad.reshape(ad.concat([xk, eps], axis=1), (n_dst, -1))
+    return ad.matmul(feats, theta_gamma_t)
+
+
+def grads_through(op, operands, weight):
+    """Value of ``op`` on tape leaves made from ``operands`` and the
+    gradients of sum(op * weight) with respect to each."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in operands]
+    out = op(*leaves)
+    tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(weight))))
+    return out.numpy(), [tape.grad(t) for t in leaves]
+
+
+def assert_fresh_after_reset(op, operands, rng):
+    """After ``Tape.reset()``, a backward from a second root through
+    ``op`` gives what a fresh tape gives for that root alone, not the
+    gradients the first root left behind."""
+    tape = ad.Tape()
+    leaves = [tape.leaf(a) for a in operands]
+    out = op(*leaves)
+    weights = [rng.normal(size=out.shape) for _ in range(2)]
+    roots = [ad.reduce_sum(ad.mul(out, ad.constant(w))) for w in weights]
+    tape.backward(roots[0])
+    tape.reset()
+    tape.backward(roots[1])
+    _, want = grads_through(op, operands, weights[1])
+    for leaf, g in zip(leaves, want):
+        np.testing.assert_array_equal(tape.grad(leaf), g)
+
+
+def assert_close_relative(got, want, rtol=1e-12):
+    scale = max(float(np.max(np.abs(want), initial=0.0)), 1e-300)
+    assert float(np.max(np.abs(got - want), initial=0.0)) <= rtol * scale
+
+
+class TestIntervalMapOp:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=8),
+        st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+        st.sampled_from([(), (1,)]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(L=1, width=1, kappa=1.0, delta_shape=(), seed=1)
+    @example(L=7, width=3, kappa=0.05, delta_shape=(1,), seed=2)
+    def test_matches_composed_ops(self, L, width, kappa, delta_shape, seed):
+        r = np.random.default_rng(seed)
+        operands = [r.normal(size=(L, width)), r.normal(size=width),
+                    np.full(delta_shape, r.uniform(0.1, 2.0))]
+        weight = r.normal(size=L)
+        got, got_grads = grads_through(
+            lambda *t: rs.interval_map(*t, kappa), operands, weight)
+        want, want_grads = grads_through(
+            lambda *t: composed_interval_map(*t, kappa), operands, weight)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        for g, w in zip(got_grads, want_grads):
+            assert g.shape == w.shape
+            assert_close_relative(g, w)
+
+    def test_backward_after_reset(self):
+        r = np.random.default_rng(39)
+        assert_fresh_after_reset(lambda *t: rs.interval_map(*t, 0.4),
+                                 [r.normal(size=(6, 3)), r.normal(size=3), 0.8], r)
+
+    def test_one_tape_node(self):
+        tape = ad.Tape()
+        leaves = [tape.leaf(a) for a in (np.ones((5, 2)), np.ones(2), 1.0)]
+        rs.interval_map(*leaves, 0.5)
+        assert len(tape.nodes) - len(leaves) == 1
+
+    @pytest.mark.parametrize("kappa", [0.3, 1.0])
+    def test_gradients_vs_finite_differences(self, kappa):
+        r = np.random.default_rng(40)
+        x, theta, delta = r.normal(size=(6, 3)), r.normal(size=3), np.array([0.8])
+        w = ad.constant(r.normal(size=6))
+
+        def loss(x_t, theta_t, delta_t):
+            return ad.reduce_sum(ad.mul(rs.interval_map(x_t, theta_t, delta_t, kappa), w))
+
+        assert ad.grad_check(lambda t: loss(t, ad.constant(theta), ad.constant(delta)), x) < 1e-6
+        assert ad.grad_check(lambda t: loss(ad.constant(x), t, ad.constant(delta)), theta) < 1e-6
+        assert ad.grad_check(lambda t: loss(ad.constant(x), ad.constant(theta), t), delta) < 1e-6
+
+
 class TestCompressionDeltas:
     def test_zero_preactivation_midpoint(self):
         cfg = make_cfg(kappa=0.5, delta_base=1.0)
@@ -316,6 +424,44 @@ class TestCompress:
         )
         np.testing.assert_array_equal(got.numpy(), want)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=1, max_value=60),
+        st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(width=3, k=6, g=4, L=2, kappa=0.5, seed=41)  # K > L
+    @example(width=2, k=3, g=2, L=2, kappa=0.05, seed=42)  # two intervals < 2 delta: 1-point grid
+    @example(width=1, k=1, g=1, L=1, kappa=1.0, seed=43)
+    @example(width=4, k=2, g=3, L=30, kappa=1.0, seed=44)
+    def test_fused_matches_composed_ops(self, width, k, g, L, kappa, seed):
+        cfg = make_cfg(width=width, kappa=kappa, window_k=k, basis_g=g, seed=seed)
+        r = np.random.default_rng(seed + 1)
+        x = r.normal(size=(L, width))
+        plan = rs.make_plan(rs.compression_deltas(cfg, x), cfg.delta_base, k)
+        operands = [x, cfg.theta_gamma, cfg.mus, plan.src_times, plan.dst_times]
+        weight = r.normal(size=(plan.dst_len, width))
+        got, got_grads = grads_through(
+            lambda x_t, *rest: rs.compress_tracked(x_t, plan, *rest), operands, weight)
+        want, want_grads = grads_through(
+            lambda x_t, *rest: composed_compress(x_t, plan, *rest), operands, weight)
+        np.testing.assert_array_equal(got, want)
+        for g_got, g_want in zip(got_grads, want_grads):
+            assert g_got.shape == g_want.shape
+            assert_close_relative(g_got, g_want)
+
+    def test_backward_after_reset(self):
+        cfg = make_cfg(width=2, kappa=0.4, window_k=3, basis_g=3, seed=48)
+        r = np.random.default_rng(49)
+        x = r.normal(size=(9, 2))
+        plan = rs.make_plan(rs.compression_deltas(cfg, x), cfg.delta_base, 3)
+        assert_fresh_after_reset(
+            lambda x_t, *rest: rs.compress_tracked(x_t, plan, *rest),
+            [x, cfg.theta_gamma, cfg.mus, plan.src_times, plan.dst_times], r)
+
     def test_tape_size_independent_of_window(self):
         sizes = []
         for k in (1, 5):
@@ -327,7 +473,7 @@ class TestCompress:
                                              plan.src_times, plan.dst_times)]
             rs.compress_tracked(inputs[0], plan, *inputs[1:])
             sizes.append(len(tape.nodes) - len(inputs))
-        assert sizes[0] == sizes[1]
+        assert sizes == [1, 1]
 
     @pytest.mark.parametrize("k, L", [(1, 10), (3, 10), (5, 3)])  # (5, 3): K > L
     def test_gradients_wrt_mixing_map_and_grid_times(self, k, L):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_resample import assert_fresh_after_reset
 
 from ressm import autodiff as ad
 from ressm import network as net
@@ -122,6 +123,14 @@ class TestSsmScan:
         with pytest.raises(ad.ShapeError):
             selective.ssm_scan(np.array([[-1.0]]), np.array([]), np.zeros((0, 1)),
                                np.zeros((0, 1)), np.zeros((0, 1)))
+
+    def test_backward_after_reset(self):
+        r = np.random.default_rng(4)
+        T, W, N = 7, 2, 3
+        assert_fresh_after_reset(selective.ssm_scan, [
+            -r.uniform(0.3, 1.5, size=(W, N)), r.uniform(0.1, 0.6, size=T),
+            r.normal(size=(T, N)), r.normal(size=(T, N)), r.normal(size=(T, W)),
+        ], r)
 
     @pytest.mark.parametrize("which", ["a", "deltas", "b_seq", "c_seq", "u"])
     def test_gradients_vs_finite_differences(self, which):
