@@ -46,6 +46,8 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "reduce_max",
+    "segments",
+    "segment_mean",
     "cumsum",
     "gather_rows",
     "tile_rows",
@@ -583,13 +585,43 @@ def reduce(kind: str, a, axis=None) -> Tensor:
     return _REDUCE[kind](a, axis=axis)
 
 
-def cumsum(a) -> Tensor:
-    """Running sum of a 1-d tensor."""
+def segments(starts, n: int) -> list[tuple[int, int]]:
+    """(start, stop) of each segment of ``n`` rows packed end to end,
+    given the segments' start rows: the first is 0, each later one is
+    greater than the one before, and every segment is non-empty."""
+    bounds = list(zip(starts, [*starts[1:], n]))
+    if not bounds or starts[0] != 0 or not all(lo < hi for lo, hi in bounds):
+        raise ShapeError(f"segment starts {list(starts)} do not split {n} rows")
+    return bounds
+
+
+def segment_mean(a, starts) -> Tensor:
+    """Mean over the rows of each segment of [R, ...]: one output row per
+    segment start (see ``segments``).  Each segment sums in the order
+    ``np.mean`` does, so a single segment gives ``reduce_mean``'s value
+    bit for bit (``np.add.reduceat`` sums in another order)."""
+    a = _lift(a)
+    bounds = segments(starts, a.shape[0])
+    counts = np.array([hi - lo for lo, hi in bounds])
+    per_row = counts.reshape((-1,) + (1,) * (a.ndim - 1))
+    out = np.stack([a.data[lo:hi].sum(axis=0) for lo, hi in bounds]) / per_row
+    return custom_op("segment_mean", out,
+                     [(a, lambda g: np.repeat(g / per_row, counts, axis=0))])
+
+
+def cumsum(a, starts=(0,)) -> Tensor:
+    """Running sum of a 1-d tensor, restarted at each segment start (see
+    ``segments``); each segment is its own ``np.cumsum``."""
     a = _lift(a)
     if a.ndim != 1:
         raise ShapeError(f"cumsum expects 1-d input, got {a.shape}")
-    out = np.cumsum(a.data)
-    return custom_op("cumsum", out, [(a, lambda g: np.cumsum(g[::-1])[::-1])])
+    bounds = segments(starts, a.shape[0])
+    out = np.concatenate([np.cumsum(a.data[lo:hi]) for lo, hi in bounds])
+
+    def da(g):
+        return np.concatenate([np.cumsum(g[lo:hi][::-1])[::-1] for lo, hi in bounds])
+
+    return custom_op("cumsum", out, [(a, da)])
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -634,28 +666,33 @@ def reshape(a, shape) -> Tensor:
     return custom_op("reshape", out, [(a, lambda g: np.reshape(g, a.shape))])
 
 
-def cross_entropy(logits, label: int) -> Tensor:
+def cross_entropy(logits, label) -> Tensor:
     """Negative log softmax probability of ``label``; scalar output.
 
-    Gradient is softmax(logits) minus the one-hot label.
+    ``logits`` is [C] with an int label, or [G, C] rows with G labels,
+    whose losses are summed.  Gradient is softmax(logits) minus the
+    one-hot labels.
     """
     logits = _lift(logits)
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects 1-d logits, got {logits.shape}")
-    n = logits.shape[0]
-    if not (0 <= int(label) < n):
+    if logits.ndim not in (1, 2):
+        raise ShapeError(f"cross_entropy expects [C] or [G, C] logits, got {logits.shape}")
+    x = logits.data.reshape(-1, logits.shape[-1])
+    n = x.shape[1]
+    labels = np.asarray(label, dtype=np.intp).reshape(-1)
+    if labels.shape != (x.shape[0],):
+        raise ShapeError(f"{labels.size} labels for {x.shape[0]} rows of logits")
+    if labels.min() < 0 or labels.max() >= n:
         raise ShapeError(f"label {label} out of range for {n} classes")
-    label = int(label)
-    x = logits.data
-    m = np.max(x)
-    lse = m + np.log(np.sum(np.exp(x - m)))
-    out = np.asarray(lse - x[label])
+    rows = np.arange(x.shape[0])
+    m = np.max(x, axis=1, keepdims=True)
+    lse = m + np.log(np.sum(np.exp(x - m), axis=1, keepdims=True))
+    out = np.asarray(np.sum(lse[:, 0] - x[rows, labels]))
     probs = np.exp(x - lse)
 
     def da(g):
         d = probs.copy()
-        d[label] -= 1.0
-        return d * np.sum(g)
+        d[rows, labels] -= 1.0
+        return (d * np.sum(g)).reshape(logits.shape)
 
     return custom_op("cross_entropy", out, [(logits, da)])
 

@@ -7,6 +7,12 @@ length, and the branch outputs are concatenated and added to the input.
 Blocks are stacked directly, with no interleaved linear layers, since
 the resampling step already mixes features linearly.
 
+A forward pass runs one sequence or a ``Packed`` group of them,
+concatenated along the row axis with each one's start row, the layout
+of FlashAttention-2's varlen path and Mamba-2's ``seq_idx``.  Per-row
+ops run on the whole group at once; routing, cumulative times, the scan
+state and pooling restart at each sequence's start.
+
 Weights live in a flat name -> array dict so the optimizer and the
 checkpoint format stay trivial.  A forward pass binds each array to the
 tape at most once; gradients are read back per name after backward.
@@ -29,6 +35,7 @@ __all__ = [
     "BlockSpec",
     "NetworkSpec",
     "ResampleNetwork",
+    "Packed",
     "weight_layout",
     "rmsnorm",
     "batchnorm",
@@ -193,12 +200,14 @@ def rmsnorm(x, gain) -> ad.Tensor:
 
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
               train: bool) -> ad.Tensor:
-    """Per-channel normalisation over the position axis of [L, H].
+    """Per-channel normalisation over the row axis of [R, H].
 
     Train mode normalises with the current moments and folds them into
     the running buffers (in place) with ``BATCHNORM_MOMENTUM``; eval mode
-    normalises with the running buffers.  One sequence at a time is the
-    batch here, so the moments are over positions.
+    normalises with the running buffers.  The rows are every position of
+    every sequence in a ``Packed`` group, so in training the moments are
+    over the group's B*L rows, as standard BatchNorm takes them for
+    sequences.  A group of one sequence has only its own positions.
     """
     x_t = x if isinstance(x, ad.Tensor) else ad.constant(x)
     g_t = gamma if isinstance(gamma, ad.Tensor) else ad.constant(gamma)
@@ -308,6 +317,25 @@ def weight_layout(spec: NetworkSpec):
     yield "param", "head.b", (spec.n_classes,), partial(np.zeros, spec.n_classes)
 
 
+@dataclass(frozen=True)
+class Packed:
+    """Sequences packed end to end along the row axis: ``rows`` holds
+    their token ids [R] or features [R, D] concatenated, ``starts`` each
+    one's first row (see ``autodiff.segments``)."""
+
+    rows: object
+    starts: tuple
+
+    @classmethod
+    def of(cls, sequences) -> "Packed":
+        """Pack token sequences or [L, D] feature arrays, in order."""
+        seqs = [np.asarray(x) for x in sequences]
+        if not seqs or any(len(x) == 0 for x in seqs):
+            raise ValueError("a packed group takes one or more non-empty sequences")
+        starts = np.cumsum([0] + [len(x) for x in seqs[:-1]])
+        return cls(np.concatenate(seqs), tuple(starts.tolist()))
+
+
 class _Binder:
     """Binds each named weight to the tape at most once per pass."""
 
@@ -354,13 +382,17 @@ class ResampleNetwork:
         """Run the network; returns (logits tensor, bound weight tensors).
 
         ``x`` is an int token sequence for token models, or an [L, D]
-        float array (or Tensor) for feature models.
+        float array (or Tensor) for feature models; logits are then [C].
+        A ``Packed`` group of them runs as one pass with [G, C] logits.
         """
+        group = x if isinstance(x, Packed) else Packed(x, (0,))
         bind = _Binder(self.params, tape)
-        t = self._embed(x, bind)
+        t = self._embed(group.rows, bind)
         for i in range(self.spec.depth):
-            t = self._block(i, t, bind, train)
-        logits = self._head(t, bind)
+            t = self._block(i, t, bind, train, group.starts)
+        logits = self._head(t, bind, group.starts)
+        if not isinstance(x, Packed):
+            logits = ad.reshape(logits, (self.spec.n_classes,))
         return logits, bind.bound
 
     def predict(self, x) -> np.ndarray:
@@ -374,7 +406,7 @@ class ResampleNetwork:
         x_t = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
         if x_t.ndim != 2 or x_t.shape[1] != self.spec.h_dim:
             raise ValueError(f"expected [L, {self.spec.h_dim}] block input, got {x_t.shape}")
-        out = self._block(index, x_t, bind, train)
+        out = self._block(index, x_t, bind, train, (0,))
         return (out, bind.bound) if tape is not None else out
 
     def _embed(self, x, bind):
@@ -406,7 +438,7 @@ class ResampleNetwork:
             )
         return x_t
 
-    def _block(self, i, x_t, bind, train):
+    def _block(self, i, x_t, bind, train, starts):
         spec = self.spec.block
         widths = self.spec.branch_widths()
         inner = self._norm(i, x_t, bind, train) if spec.norm_position == "pre" else x_t
@@ -415,32 +447,36 @@ class ResampleNetwork:
         for b, br in enumerate(spec.branches):
             xb = ad.slice_along(inner, 1, off, off + widths[b])
             off += widths[b]
-            parts.append(self._branch(i, b, br, widths[b], xb, bind))
+            parts.append(self._branch(i, b, br, widths[b], xb, bind, starts))
         out = ad.add(x_t, ad.concat(parts, axis=1))
         if spec.norm_position == "post_skip":
             out = self._norm(i, out, bind, train)
         return out
 
-    def _branch(self, i, b, br: BranchSpec, width, xb, bind):
+    def _branch(self, i, b, br: BranchSpec, width, xb, bind, starts):
         pre = f"block{i}.br{b}."
         if br.kappa is None:
-            return self._ssm_layer(pre, br, width, xb, bind)
+            return self._ssm_layer(pre, br, width, xb, bind, starts)
 
         delta_base = ad.softplus(bind(pre + "res.raw_delta"))
         deltas = rs.interval_map(xb, bind(pre + "res.theta_delta"), delta_base, br.kappa)
-        plan = rs.make_plan(deltas.data, float(delta_base.data), br.window_k)
-        src_times = ad.cumsum(deltas)
-        dst_times = ad.mul(
-            ad.constant(np.arange(1, plan.dst_len + 1, dtype=np.float64)), delta_base
-        )
+        delta = float(delta_base.data)
+        # One plan per sequence, each on its own intervals, joined into
+        # the group's routing.
+        plans = [rs.make_plan(deltas.data[lo:hi], delta, br.window_k)
+                 for lo, hi in ad.segments(starts, xb.shape[0])]
+        plan = rs.join_plans(plans)
+        src_times = ad.cumsum(deltas, starts)
+        steps = np.concatenate([np.arange(1, p.dst_len + 1, dtype=np.float64) for p in plans])
+        dst_times = ad.mul(ad.constant(steps), delta_base)
         xc = rs.compress_tracked(
             xb, plan, bind(pre + "res.theta_gamma"), bind(pre + "res.mus"),
             src_times, dst_times,
         )
-        yc = self._ssm_layer(pre, br, width, xc, bind)
+        yc = self._ssm_layer(pre, br, width, xc, bind, plan.dst_starts)
         return rs.decompress_tracked(yc, plan)
 
-    def _ssm_layer(self, pre, br: BranchSpec, width, u_t, bind):
+    def _ssm_layer(self, pre, br: BranchSpec, width, u_t, bind, starts):
         T = u_t.shape[0]
         a = ad.neg(ad.exp(bind(pre + "ssm.rho")))
         if br.selective:
@@ -455,13 +491,13 @@ class ResampleNetwork:
             deltas = ad.mul(ad.constant(np.ones(T)), delta)
             b_seq = ad.tile_rows(bind(pre + "ssm.b"), T)
             c_seq = ad.tile_rows(bind(pre + "ssm.c"), T)
-        return ssm_scan(a, deltas, b_seq, c_seq, u_t)
+        return ssm_scan(a, deltas, b_seq, c_seq, u_t, starts=starts)
 
-    def _head(self, t, bind):
-        spec = self.spec
-        if spec.pooling == "mean":
-            pooled = ad.reduce_mean(t, axis=0)
+    def _head(self, t, bind, starts):
+        """[G, C] logits, one row per sequence."""
+        if self.spec.pooling == "mean":
+            pooled = ad.segment_mean(t, starts)
         else:
-            pooled = ad.reshape(ad.slice_along(t, 0, t.shape[0] - 1, t.shape[0]), (spec.h_dim,))
-        logits = ad.matmul(ad.reshape(pooled, (1, spec.h_dim)), bind("head.w"))
-        return ad.add(ad.reshape(logits, (spec.n_classes,)), bind("head.b"))
+            pooled = ad.gather_rows(t, [hi - 1 for _, hi in ad.segments(starts, t.shape[0])])
+        logits = ad.matmul(pooled, bind("head.w"))
+        return ad.add(logits, ad.tile_rows(bind("head.b"), len(starts)))

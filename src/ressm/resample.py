@@ -33,6 +33,7 @@ tests hold both fast paths to, bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
     "build_grid",
     "knn_indices",
     "make_plan",
+    "join_plans",
     "compress",
     "decompress",
     "closest_grid_index",
@@ -106,18 +108,27 @@ class ResampleConfig:
 
 @dataclass
 class ResamplePlan:
-    """Frozen routing between the source times and the uniform grid."""
+    """Frozen routing between the source times and the uniform grid.
+
+    A plan made by ``join_plans`` routes several sequences packed end to
+    end: ``src_starts`` and ``dst_starts`` hold each one's first source
+    row and first grid row, and each keeps its own time axes.
+    """
 
     src_times: np.ndarray
     dst_times: np.ndarray
     dst_len: int
     neighbors: np.ndarray | None = None  # [dst_len, K] source indices, time-ordered
+    src_starts: tuple = (0,)
+    dst_starts: tuple = (0,)
 
     def __post_init__(self):
         self.src_times = np.asarray(self.src_times, dtype=np.float64)
         self.dst_times = np.asarray(self.dst_times, dtype=np.float64)
         if self.dst_len < 1 or self.dst_len > len(self.src_times):
             raise ValueError("dst_len must lie in [1, source length]")
+        if len(self.src_starts) != len(self.dst_starts):
+            raise ValueError("src_starts and dst_starts must count the same sequences")
         if self.neighbors is not None:
             self.neighbors = np.asarray(self.neighbors, dtype=np.intp)
             if self.neighbors.min() < 0 or self.neighbors.max() >= len(self.src_times):
@@ -207,10 +218,10 @@ def build_grid(deltas: np.ndarray, delta_base: float) -> ResamplePlan:
     deltas = np.asarray(deltas, dtype=np.float64)
     if deltas.ndim != 1 or len(deltas) == 0:
         raise ValueError("deltas must be a non-empty 1-d sequence")
-    if np.any(deltas <= 0):
+    if deltas.min() <= 0:
         raise ValueError("all intervals must be strictly positive")
     src_times = np.cumsum(deltas)
-    dst_len = max(1, int(np.floor(src_times[-1] / delta_base + _GRID_EPS)))
+    dst_len = max(1, math.floor(float(src_times[-1]) / delta_base + _GRID_EPS))
     dst_len = min(dst_len, len(deltas))
     dst_times = np.arange(1, dst_len + 1) * delta_base
     return ResamplePlan(src_times=src_times, dst_times=dst_times, dst_len=dst_len)
@@ -238,41 +249,61 @@ def make_plan(deltas: np.ndarray, delta_base: float, window_k: int) -> ResampleP
     """Grid plus the frozen neighbor windows for every grid point.
 
     Row l of ``neighbors`` equals ``knn_indices(dst_times[l], src_times,
-    window_k)``.  The 2K sources around each grid point's ``searchsorted``
-    position are ranked by the same distance with the same stable sort, so
-    ties still go to the lower index.  A source further out can only tie
-    the window's outermost earlier source when two source times are equal
-    to within rounding; such rows are ranked over all sources.
+    window_k)``.  Distance to a grid point falls up to its
+    ``searchsorted`` position and rises after it, so its K nearest
+    sources are one run of K among the 2K around that position: the run
+    starting at the first column c whose source is no further away than
+    the source K columns on (ties go to the lower index), found for
+    every row at once by counting the columns before it.  That holds
+    while no two neighboring sources in the span are equally far from
+    the grid point, which takes equal source times or an exact midpoint;
+    such rows are ranked over all sources.
     """
     plan = build_grid(deltas, delta_base)
     src, dst, k = plan.src_times, plan.dst_times, window_k
     if k < 1:
         raise ValueError("k must be at least 1")
     n = len(src)
+    if n <= k:  # every source, the last repeated to fill the window
+        plan.neighbors = np.minimum(np.arange(k), n - 1)[None, :].repeat(len(dst), axis=0)
+        return plan
+    # Sources pos-K-1 .. pos+K-1 of each grid point, as columns 0 .. 2K.
+    # Past either end the sequence is padded with times further out than
+    # any real distance, and further with each step, so the padding is
+    # never nearest and never ties.
+    far = 2.0 * max(src[-1], dst[-1])
+    padded = np.concatenate([-far * np.arange(k + 1, 0, -1), src,
+                             src[-1] + far * np.arange(1, k + 1)])
     pos = np.searchsorted(src, dst)
-    cand = pos[:, None] + np.arange(-k, k)
-    inside = (cand >= 0) & (cand < n)
-    cand = np.clip(cand, 0, n - 1)
-    dist = np.where(inside, np.abs(src[cand] - dst[:, None]), np.inf)
-    chosen = _nearest(cand, dist, min(k, n))
-    # A source beyond the window ranks ahead of one inside only by tying
-    # the window's earliest source, which takes equal source times.
-    beyond = pos - k - 1
-    tied = np.flatnonzero((beyond >= 0) & (dist[:, 0] == np.abs(src[np.maximum(beyond, 0)] - dst)))
-    if len(tied):
-        every = np.broadcast_to(np.arange(n), (len(tied), n))
-        chosen[tied] = _nearest(every, np.abs(src - dst[tied, None]), min(k, n))
-    if k > n:
-        chosen = np.concatenate([chosen, np.repeat(chosen[:, -1:], k - n, axis=1)], axis=1)
+    dist = np.abs(padded[pos[:, None] + np.arange(2 * k + 1)] - dst[:, None])
+    start = pos - k + (dist[:, 1 : k + 1] > dist[:, k + 1 :]).sum(axis=1)
+    chosen = start[:, None] + np.arange(k)
+    tie = dist[:, 1:] == dist[:, :-1]
+    if tie.any():
+        tied = np.flatnonzero(tie.any(axis=1))
+        # A stable sort keeps the lower index first among equals.
+        order = np.argsort(np.abs(src - dst[tied, None]), axis=1, kind="stable")
+        chosen[tied] = np.sort(order[:, :k], axis=1)
     plan.neighbors = chosen
     return plan
 
 
-def _nearest(cand: np.ndarray, dist: np.ndarray, m: int) -> np.ndarray:
-    """Per row, the m candidates of least distance, earlier columns first
-    among equals, in ascending order."""
-    order = np.argsort(dist, axis=1, kind="stable")[:, :m]
-    return np.sort(np.take_along_axis(cand, order, axis=1), axis=1)
+def join_plans(plans) -> ResamplePlan:
+    """One plan over the plans' sequences packed end to end, in order:
+    times concatenated, each plan's neighbor indices shifted by its
+    source offset.  One plan is its own join."""
+    if len(plans) == 1:
+        return plans[0]
+    src_starts = np.cumsum([0] + [len(p.src_times) for p in plans[:-1]])
+    dst_starts = np.cumsum([0] + [p.dst_len for p in plans[:-1]])
+    return ResamplePlan(
+        src_times=np.concatenate([p.src_times for p in plans]),
+        dst_times=np.concatenate([p.dst_times for p in plans]),
+        dst_len=int(dst_starts[-1]) + plans[-1].dst_len,
+        neighbors=np.concatenate([p.neighbors + s for p, s in zip(plans, src_starts)]),
+        src_starts=tuple(src_starts.tolist()),
+        dst_starts=tuple(dst_starts.tolist()),
+    )
 
 
 def compress(cfg: ResampleConfig, x: np.ndarray, plan: ResamplePlan) -> np.ndarray:
@@ -287,17 +318,21 @@ def compress(cfg: ResampleConfig, x: np.ndarray, plan: ResamplePlan) -> np.ndarr
 
 
 def closest_grid_index(plan: ResamplePlan) -> np.ndarray:
-    """For each source position, the index of the nearest grid point
-    (ties toward the lower index).
+    """For each source position, the index of the nearest grid point of
+    its own sequence (ties toward the lower index).
 
     Grid times are increasing, so the nearest grid point is one of the two
     either side of the source's ``searchsorted`` position; memory is O(L).
     """
-    dst = plan.dst_times
-    hi = np.minimum(np.searchsorted(dst, plan.src_times), len(dst) - 1)
-    lo = np.maximum(hi - 1, 0)
-    take_lo = np.abs(plan.src_times - dst[lo]) <= np.abs(plan.src_times - dst[hi])
-    return np.where(take_lo, lo, hi)
+    out = np.empty(len(plan.src_times), dtype=np.intp)
+    for (a, b), (c, d) in zip(ad.segments(plan.src_starts, len(plan.src_times)),
+                              ad.segments(plan.dst_starts, plan.dst_len)):
+        src, dst = plan.src_times[a:b], plan.dst_times[c:d]
+        hi = np.minimum(np.searchsorted(dst, src), len(dst) - 1)
+        lo = np.maximum(hi - 1, 0)
+        take_lo = np.abs(src - dst[lo]) <= np.abs(src - dst[hi])
+        out[a:b] = np.where(take_lo, lo, hi) + c
+    return out
 
 
 def decompress(y_bar: np.ndarray, plan: ResamplePlan) -> np.ndarray:

@@ -33,26 +33,29 @@ __all__ = ["ssm_scan"]
 _DECAY_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
-def _linear_scan(decay, drive):
+def _linear_scan(decay, drive, longest):
     """h_t = decay_t * h_{t-1} + drive_t from h_{-1} = 0, along axis 0.
 
     Recursive doubling (Hillis-Steele): after the pass with stride k,
     ``h[t]`` holds the recurrence started from zero at t - 2k and
     ``span[t]`` the product of decays over (t - 2k, t], so ceil(log2 T)
     vectorised passes replace the loop over t.  decay_0 is never read.
-    Works in place to spare fresh pages: ``drive`` becomes h, which is
-    returned, and ``decay`` is overwritten.
+    A zero decay cuts the recurrence: every span across it is exactly 0,
+    so when no run between zero decays is longer than ``longest`` rows,
+    ceil(log2 longest) passes finish it.  Works in place to spare fresh
+    pages: ``drive`` becomes h, which is returned, and ``decay`` is
+    overwritten.
     """
     h, span = drive, decay
     np.copyto(span, 0.0, where=span < _DECAY_FLOOR)
     buf = np.empty_like(h)
     T = len(h)
     k = 1
-    while k < T:
+    while k < longest:
         tmp = buf[: T - k]
         np.multiply(span[k:], h[:-k], out=tmp)
         h[k:] += tmp
-        if 2 * k < T:  # the last level's span product would go unused
+        if 2 * k < longest:  # the last level's span product would go unused
             np.multiply(span[k:], span[:-k], out=tmp)
             np.copyto(tmp, 0.0, where=tmp < _DECAY_FLOOR)
             span[k:] = tmp
@@ -64,26 +67,30 @@ def _linear_scan(decay, drive):
 # two passes below reuse an operand's memory once it has been read for
 # the last time.  The forward turns z into the decays; the backward
 # recomputes z (one product) rather than keep it alive between passes.
-def _scan_forward(a, deltas, b_seq, c_seq, u):
+def _scan_forward(a, deltas, b_seq, c_seq, u, starts, longest):
     z = deltas[:, None, None] * a[None, :, :]  # [T,W,N]
     phis = phi(z)
     drive = phis * (deltas[:, None] * b_seq)[:, None, :]
     drive *= u[:, :, None]
-    hs = _linear_scan(np.exp(z, out=z), drive)
+    decay = np.exp(z, out=z)
+    decay[starts] = 0.0  # each segment starts from a zero state
+    hs = _linear_scan(decay, drive, longest)
     ys = np.einsum("twn,tn->tw", hs, c_seq)
     return ys, (phis, hs)
 
 
-def _scan_backward(dy, a, deltas, b_seq, c_seq, u, saved):
+def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
     phis, hs = saved
     z = deltas[:, None, None] * a[None, :, :]
     es = np.exp(z)
+    es[starts] = 0.0  # no state crosses into a segment, nor gradient out
     # Accumulated state gradient G[t] = dL/dh_t = outer[t] + es[t+1] G[t+1]:
     # the same recurrence run backwards in time.
     scratch = np.empty_like(es)
     scratch[0] = 0.0
     scratch[1:] = es[:0:-1]
-    g = _linear_scan(scratch, np.einsum("tw,tn->twn", dy[::-1], c_seq[::-1]))[::-1]
+    g = _linear_scan(scratch, np.einsum("tw,tn->twn", dy[::-1], c_seq[::-1]),
+                     longest)[::-1]
 
     scaled_b = deltas[:, None] * b_seq  # [T,N]
     du = np.einsum("twn,twn,tn->tw", g, phis, scaled_b)
@@ -103,7 +110,7 @@ def _scan_backward(dy, a, deltas, b_seq, c_seq, u, saved):
     return {"a": da, "deltas": dd, "b_seq": db, "c_seq": dc, "u": du}
 
 
-def ssm_scan(a_diag, deltas, b_seq, c_seq, u) -> ad.Tensor:
+def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
     """Run W parallel single-input recurrences with shared per-step params.
 
     Shapes: a_diag [W, N] (one diagonal system per channel), deltas [T]
@@ -116,11 +123,15 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u) -> ad.Tensor:
     y_t = h_t . c_t.  States start at zero.  The whole scan is one tape
     node; gradients flow to all five inputs.
 
+    ``starts`` holds the first row of each of several sequences packed
+    end to end along T (see ``autodiff.segments``); the state restarts
+    from zero at each, so every segment scans as if on its own.
+
     The recurrence runs by recursive doubling in ceil(log2 T) vectorised
-    passes, forward and, for the gradient, backward in time.  Decays
-    below ~1.5e-154 count as zero, which drops terms under 1.5e-154
-    times the state they carry; y agrees with the step-by-step
-    recurrence to rounding.
+    passes, T the longest segment, forward and, for the gradient,
+    backward in time.  Decays below ~1.5e-154 count as zero, which drops
+    terms under 1.5e-154 times the state they carry; y agrees with the
+    step-by-step recurrence to rounding.
     """
     a_t = a_diag if isinstance(a_diag, ad.Tensor) else ad.constant(a_diag)
     d_t = deltas if isinstance(deltas, ad.Tensor) else ad.constant(deltas)
@@ -145,11 +156,15 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u) -> ad.Tensor:
         raise ad.ShapeError("scan operand shapes disagree")
     if np.any(d < 0):
         raise ValueError("scan intervals must be non-negative")
+    bounds = ad.segments(starts, T)
+    rows = [lo for lo, _ in bounds]
+    longest = max(hi - lo for lo, hi in bounds)
 
     with np.errstate(all="ignore"):  # non-finite results surface via custom_op
-        ys, saved = _scan_forward(a, d, b, c, uu)
+        ys, saved = _scan_forward(a, d, b, c, uu, rows, longest)
 
-    grads = ad.shared_grads(lambda g: _scan_backward(g, a, d, b, c, uu, saved))
+    grads = ad.shared_grads(
+        lambda g: _scan_backward(g, a, d, b, c, uu, rows, longest, saved))
     return ad.custom_op(
         "ssm_scan",
         ys,

@@ -1,9 +1,12 @@
 """Optimizer, training loop, and evaluation metrics.
 
-One tape per sample, gradients averaged over the batch, a global-norm
-clip, then a decoupled-weight-decay Adam step.  Everything is seeded and
-single-threaded, so a (seed, config) pair reproduces the metric history
-bit for bit.
+Each batch's sequences are packed along the row axis into groups of at
+most ``MAX_TAPE_ROWS`` rows (``network.Packed``), one tape and one
+summed loss per group; the gradients are averaged over the batch, then
+a global-norm clip and a decoupled-weight-decay Adam step.  Batchnorm
+takes its training moments over a group's rows.  Everything is seeded
+and single-threaded, so a (seed, config) pair reproduces the metric
+history bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .network import ResampleNetwork
+from .network import Packed, ResampleNetwork
 from .tasks import SparseSignalTask, gen_sparse_task
 
 __all__ = [
@@ -31,6 +34,9 @@ __all__ = [
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+# Rows per training tape.  A tape keeps every row's activations alive
+# until its backward, so larger groups trade memory for fewer ops.
+MAX_TAPE_ROWS = 1024
 
 
 class TrainingDiverged(RuntimeError):
@@ -157,16 +163,28 @@ class TrainResult:
         ]
 
 
+def _groups(batch):
+    """Split a batch into the fewest groups of near-equal size that fit
+    ``MAX_TAPE_ROWS`` rows, but into groups of at least two sequences
+    when the batch holds two or more."""
+    rows = sum(len(ex.tokens) for ex in batch)
+    n = max(1, min(-(-rows // MAX_TAPE_ROWS), len(batch) // 2))
+    cuts = [len(batch) * j // n for j in range(n + 1)]
+    return [batch[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
 def _batch_grads(model, batch, epoch, batch_idx):
     """Average gradients over one batch; returns (grads, loss, top1, top5)."""
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-    losses = []
+    loss_sum = 0.0
     hits1 = hits5 = 0
-    for ex in batch:
+    for group in _groups(batch):
+        labels = [ex.label for ex in group]
         tape = ad.Tape()
         try:
-            logits, bound = model.forward(ex.tokens, tape=tape, train=True)
-            loss = ad.cross_entropy(logits, ex.label)
+            logits, bound = model.forward(Packed.of([ex.tokens for ex in group]),
+                                          tape=tape, train=True)
+            loss = ad.cross_entropy(logits, labels)
             tape.backward(loss)
         except ad.NonFiniteError as e:
             raise TrainingDiverged(
@@ -175,17 +193,17 @@ def _batch_grads(model, batch, epoch, batch_idx):
         lv = loss.item()
         if not math.isfinite(lv):
             raise TrainingDiverged(f"loss diverged at epoch {epoch}, batch {batch_idx}")
-        losses.append(lv)
-        lvals = logits.numpy()
-        hits1 += _topk_hit(lvals, ex.label, 1)
-        hits5 += _topk_hit(lvals, ex.label, 5)
+        loss_sum += lv
+        for row, label in zip(logits.numpy(), labels):
+            hits1 += _topk_hit(row, label, 1)
+            hits5 += _topk_hit(row, label, 5)
         for name, leaf in bound.items():
             grads[name] += tape.grad(leaf)
         tape.release()
     n = len(batch)
     for g in grads.values():
         g /= n
-    return grads, float(np.mean(losses)), hits1 / n, hits5 / n
+    return grads, loss_sum / n, hits1 / n, hits5 / n
 
 
 def train(model: ResampleNetwork, task: SparseSignalTask, cfg: TrainConfig) -> TrainResult:

@@ -220,6 +220,46 @@ class TestExtendedOps:
         err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.cumsum(t), w)), r.normal(size=5))
         assert err < 1e-4
 
+    @pytest.mark.parametrize("starts", [(0,), (0, 1, 4), (0, 3, 4, 8)])
+    def test_segmented_cumsum_restarts_at_each_start(self, starts):
+        r = rng(32)
+        x = r.normal(size=9)
+        bounds = ad.segments(starts, 9)
+        want = np.concatenate([np.cumsum(x[lo:hi]) for lo, hi in bounds])
+        np.testing.assert_array_equal(ad.cumsum(ad.constant(x), starts).numpy(), want)
+        w = ad.constant(r.normal(size=9))
+        err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.cumsum(t, starts), w)), x)
+        assert err < 1e-6
+
+    def test_segment_mean_values_and_gradient(self):
+        r = rng(33)
+        x = r.normal(size=(7, 3))
+        starts = (0, 2, 3)
+        want = np.stack([x[0:2].mean(axis=0), x[2:3].mean(axis=0), x[3:7].mean(axis=0)])
+        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x), starts).numpy(), want)
+        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x), (0,)).numpy()[0],
+                                      ad.reduce_mean(ad.constant(x), axis=0).numpy())
+        w = ad.constant(r.normal(size=(3, 3)))
+        err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.segment_mean(t, starts), w)), x)
+        assert err < 1e-6
+
+    @pytest.mark.parametrize("starts", [(), (1, 3), (0, 3, 3), (0, 2, 1), (0, 9)])
+    def test_segments_rejects_bad_starts(self, starts):
+        with pytest.raises(ad.ShapeError, match="segment starts"):
+            ad.segments(starts, 9)
+
+    def test_cross_entropy_rows_sum_per_row_losses(self):
+        r = rng(34)
+        logits = r.normal(size=(4, 5))
+        labels = [2, 0, 4, 2]
+        want = sum(ad.cross_entropy(ad.constant(row), k).item() for row, k in zip(logits, labels))
+        assert ad.cross_entropy(ad.constant(logits), labels).item() == pytest.approx(want, rel=1e-15)
+        assert ad.grad_check(lambda t: ad.cross_entropy(t, labels), logits) < 1e-6
+        with pytest.raises(ad.ShapeError, match="labels"):
+            ad.cross_entropy(ad.constant(logits), [0, 1])
+        with pytest.raises(ad.ShapeError, match="out of range"):
+            ad.cross_entropy(ad.constant(logits), [0, 1, 5, 0])
+
     def test_gather_rows_values_and_scatter_gradient(self):
         x = np.arange(12.0).reshape(4, 3)
         out = ad.gather_rows(ad.constant(x), [2, 0, 2])

@@ -8,7 +8,7 @@ import pytest
 from ressm import autodiff as ad
 from ressm import checkpoint as ckpt
 from ressm import network as net
-from ressm import ssm
+from ressm import ssm, tasks, training
 
 
 def feature_spec(depth=1, h_dim=4, kappas=(None, 0.5), norm="rmsnorm",
@@ -279,6 +279,82 @@ class TestTapeSize:
         logits, _ = model.forward(ids, tape=tape, train=True)
         ad.cross_entropy(logits, 0)
         assert len(tape.nodes) <= ceiling  # weights, forward ops and the loss
+
+    @pytest.mark.parametrize("layout", ["criterion8", "preset"])
+    def test_group_records_as_many_nodes_as_one_sequence(self, layout):
+        model = net.ResampleNetwork(bench_layout(layout), seed=34)
+        r = np.random.default_rng(35)
+        counts = []
+        for n in (1, 16):
+            seqs = [r.integers(0, 12, size=int(r.integers(8, 40))) for _ in range(n)]
+            tape = ad.Tape()
+            logits, _ = model.forward(net.Packed.of(seqs), tape=tape, train=True)
+            assert logits.shape == (n, 4)
+            ad.cross_entropy(logits, [0] * n)
+            counts.append(len(tape.nodes))
+        assert counts[0] == counts[1]
+
+
+class TestPacked:
+    def test_group_logits_match_each_sequence_alone(self):
+        # Eval mode: every op is per row or restarts at each start.
+        for pooling in ("mean", "last"):
+            spec = token_spec(depth=2, kappas=(None, 0.5, 0.3))
+            spec.pooling = pooling
+            model = net.ResampleNetwork(spec, seed=36)
+            r = np.random.default_rng(37)
+            seqs = [r.integers(0, 10, size=n) for n in (1, 9, 16, 3)]
+            packed = model.predict(net.Packed.of(seqs))
+            for row, ids in zip(packed, seqs):
+                np.testing.assert_allclose(row, model.predict(ids), rtol=1e-12, atol=1e-14)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            net.Packed.of([np.array([1, 2]), np.array([], dtype=int)])
+        with pytest.raises(ValueError, match="non-empty"):
+            net.Packed.of([])
+
+
+class TestBatchnormOverTheGroup:
+    """Train-mode batchnorm takes its moments over every row of a packed
+    group.  Over one sequence's positions alone, a post-skip batchnorm
+    before mean pooling zeroes each channel's mean, so the pooled features
+    equal beta and the model ignores its input."""
+
+    def test_train_logits_depend_on_the_tokens(self):
+        model = net.ResampleNetwork(bench_layout("preset"), seed=38)
+        r = np.random.default_rng(39)
+        seqs = [r.integers(0, 12, size=32) for _ in range(2)]
+        logits, _ = model.forward(net.Packed.of(seqs), train=True)
+        assert np.max(np.abs(logits.numpy()[0] - logits.numpy()[1])) > 1e-6
+
+    @pytest.mark.parametrize("layout, seq_len", [
+        ("criterion8", 256),   # train-L256
+        ("preset", 32),        # train-L32-bn
+        ("criterion8", 1024),  # eval-L1024
+    ])
+    def test_no_dead_weights(self, layout, seq_len):
+        task = tasks.SparseSignalTask(seq_len=seq_len, n_train=16, n_val=1, seed=40)
+        batch, _ = tasks.gen_sparse_task(task)
+        model = net.ResampleNetwork(bench_layout(layout), seed=41)
+        grads, *_ = training._batch_grads(model, batch, 0, 0)
+        norms = {name: np.linalg.norm(g) for name, g in grads.items()}
+        largest = max(norms.values())
+        assert {name for name, x in norms.items() if x <= 1e-10 * largest} == set()
+
+    def test_packed_loss_passes_grad_check(self):
+        spec = feature_spec(depth=2, h_dim=4, kappas=(None, 0.5), norm="batchnorm",
+                            norm_pos="post_skip")
+        model = net.ResampleNetwork(spec, seed=42)
+        r = np.random.default_rng(43)
+        x = r.normal(size=(19, 4))
+        starts = (0, 5, 13)
+
+        def f(t):
+            logits, _ = model.forward(net.Packed(t, starts), train=True)
+            return ad.cross_entropy(logits, [2, 0, 1])
+
+        assert ad.grad_check(f, x) < 1e-4
 
 
 class TestInit:

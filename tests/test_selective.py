@@ -34,10 +34,10 @@ def run_capturing_scan(monkeypatch, model, x):
     """Block output and the operands the block handed to the scan."""
     seen = {}
 
-    def spy(a, deltas, b_seq, c_seq, u):
+    def spy(a, deltas, b_seq, c_seq, u, **kw):
         seen.update(a=a.numpy(), deltas=deltas.numpy(), b_seq=b_seq.numpy(),
                     c_seq=c_seq.numpy(), u=u.numpy())
-        return selective.ssm_scan(a, deltas, b_seq, c_seq, u)
+        return selective.ssm_scan(a, deltas, b_seq, c_seq, u, **kw)
 
     monkeypatch.setattr(net, "ssm_scan", spy)
     return model.run_block(0, x).numpy(), seen
@@ -210,6 +210,74 @@ class TestDoublingScanOracle:
         for w in range(W):
             want, _ = ssm.varying_scan(deltas, a[w], b_seq, c_seq, u[:, w])
             assert np.all(np.abs(y[:, w] - want) <= 1e-12 * np.abs(want).max())
+
+
+def _scan_operands(r, T, W, N):
+    return {
+        "a": -r.uniform(0.3, 1.5, size=(W, N)),
+        "deltas": r.uniform(0.1, 0.6, size=T),
+        "b_seq": r.normal(size=(T, N)),
+        "c_seq": r.normal(size=(T, N)),
+        "u": r.normal(size=(T, W)),
+    }
+
+
+class TestSegmentedScan:
+    """Sequences packed end to end scan as if each ran on its own."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+                         min_size=1, max_size=6),
+        W=st.integers(1, 3),
+        N=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_varying_scan_per_segment(self, lengths, W, N, seed):
+        r = np.random.default_rng(seed)
+        op = _scan_operands(r, sum(lengths), W, N)
+        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        y = selective.ssm_scan(*op.values(), starts=starts).numpy()
+        for lo, hi in ad.segments(starts, len(y)):
+            seg = slice(lo, hi)
+            for w in range(W):
+                want, _ = ssm.varying_scan(op["deltas"][seg], op["a"][w], op["b_seq"][seg],
+                                           op["c_seq"][seg], op["u"][seg, w])
+                assert np.all(np.abs(y[seg, w] - want) <= 1e-12 * np.abs(want).max())
+            # A reset costs nothing in rounding: each segment is the scan
+            # of that segment alone.
+            alone = selective.ssm_scan(op["a"], op["deltas"][seg], op["b_seq"][seg],
+                                       op["c_seq"][seg], op["u"][seg]).numpy()
+            np.testing.assert_array_equal(y[seg], alone)
+
+    @pytest.mark.parametrize("which", ["a", "deltas", "b_seq", "c_seq", "u"])
+    def test_gradients_across_resets(self, which):
+        # Segments of 5, 1, 9 and 4 rows: a length-1 segment, and resets
+        # inside every doubling level of the 9-row one.
+        r = np.random.default_rng(zlib.crc32(which.encode()) + 19)
+        T, W, N = 19, 2, 3
+        starts = (0, 5, 6, 15)
+        base = _scan_operands(r, T, W, N)
+        weight = r.normal(size=(T, W))
+
+        def f(t):
+            args = dict(base)
+            args[which] = t
+            y = selective.ssm_scan(*args.values(), starts=starts)
+            return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
+
+        assert ad.grad_check(f, base[which]) < 1e-4
+
+    def test_no_state_or_gradient_crosses_a_start(self):
+        r = np.random.default_rng(40)
+        op = _scan_operands(r, 12, 2, 3)
+        tape = ad.Tape()
+        u = tape.leaf(op["u"])
+        y = selective.ssm_scan(op["a"], op["deltas"], op["b_seq"], op["c_seq"], u,
+                               starts=(0, 7))
+        tape.backward(ad.reduce_sum(ad.slice_along(y, 0, 0, 7)))
+        assert np.all(tape.grad(u)[7:] == 0.0)
+        assert np.all(tape.grad(u)[:7] != 0.0)
 
 
 def _phi_masked(z):

@@ -229,6 +229,50 @@ class TestTrainLoop:
         assert set(result.best_params) == set(model.params)
 
 
+class TestPackedBatch:
+    @pytest.mark.parametrize("norm", ["none", "rmsnorm"])
+    @pytest.mark.parametrize("seq_len, n_groups", [(256, 2), (32, 1)])
+    def test_gradients_equal_per_example_average(self, norm, seq_len, n_groups):
+        # Without batchnorm no row sees another sequence's rows, so one
+        # summed loss over a packed group has the per-example gradients.
+        t = tasks.SparseSignalTask(seq_len=seq_len, n_train=8, n_val=1, seed=44)
+        batch, _ = tasks.gen_sparse_task(t)
+        assert len(training._groups(batch)) == n_groups
+        branches = [net.BranchSpec(kappa=None), net.BranchSpec(kappa=0.5)]
+        spec = net.NetworkSpec(depth=2, h_dim=16, block=net.BlockSpec(branches, norm_kind=norm),
+                               n_classes=t.n_classes, vocab_size=t.vocab_size)
+        model = net.ResampleNetwork(spec, seed=45)
+        grads, loss, top1, _ = training._batch_grads(model, batch, 0, 0)
+
+        want = {k: np.zeros_like(v) for k, v in model.params.items()}
+        losses, hits = [], 0
+        for ex in batch:
+            tape = ad.Tape()
+            logits, bound = model.forward(ex.tokens, tape=tape, train=True)
+            lv = ad.cross_entropy(logits, ex.label)
+            tape.backward(lv)
+            losses.append(lv.item())
+            hits += int(np.argmax(logits.numpy()) == ex.label)
+            for name, leaf in bound.items():
+                want[name] += tape.grad(leaf) / len(batch)
+        for name, g in want.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-12 * np.max(np.abs(g)), name
+        assert loss == pytest.approx(np.mean(losses), rel=1e-12)
+        assert top1 == hits / len(batch)
+
+    @pytest.mark.parametrize("batch, rows, sizes", [
+        (16, 32, [16]),                  # 512 rows fit one tape
+        (16, 256, [4, 4, 4, 4]),         # 4096 rows: four groups of 1024
+        (16, 1024, [2] * 8),             # at least two sequences per group
+        (5, 256, [2, 3]),                # near-equal groups
+        (1, 4096, [1]),
+    ])
+    def test_groups(self, batch, rows, sizes):
+        items = [tasks.Example(tokens=np.zeros(rows, dtype=int), label=0, informative=None)
+                 for _ in range(batch)]
+        assert [len(g) for g in training._groups(items)] == sizes
+
+
 class TestTapeLifetime:
     def test_each_tape_is_freed_without_the_cyclic_collector(self, monkeypatch):
         tapes = []
@@ -239,6 +283,8 @@ class TestTapeLifetime:
                 tapes.append(weakref.ref(self))
 
         monkeypatch.setattr(ad, "Tape", WatchedTape)
+        # Four 12-row sequences over 24-row tapes: two packed groups.
+        monkeypatch.setattr(training, "MAX_TAPE_ROWS", 24)
         t = tasks.SparseSignalTask(seq_len=12, n_train=4, n_val=2, seed=28)
         model = net.ResampleNetwork(tiny_spec(vocab=t.vocab_size, n_classes=4), seed=29)
         train_set, _ = tasks.gen_sparse_task(t)
@@ -246,7 +292,7 @@ class TestTapeLifetime:
         gc.disable()
         try:
             training._batch_grads(model, train_set, 0, 0)
-            assert len(tapes) == len(train_set)
+            assert len(tapes) == len(training._groups(train_set)) == 2
             assert all(ref() is None for ref in tapes)
         finally:
             if was_enabled:
