@@ -50,6 +50,7 @@ __all__ = [
     "segment_mean",
     "cumsum",
     "gather_rows",
+    "scatter_add",
     "tile_rows",
     "tile_cols",
     "reshape",
@@ -135,31 +136,6 @@ class Tensor:
     def __repr__(self):
         tracked = f", node={self.node_id}" if self.node_id is not None else ""
         return f"Tensor(shape={self.shape}{tracked})"
-
-    # Operator sugar; everything funnels into the module-level ops.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def constant(values) -> Tensor:
@@ -633,13 +609,23 @@ def gather_rows(a, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError("gather_rows index out of range")
     out = a.data[idx]
+    return custom_op("gather", out, [(a, lambda g: scatter_add(idx, g, a.shape[0]))])
 
-    def da(g):
-        z = np.zeros(a.shape)
-        np.add.at(z, idx, g)
-        return z
 
-    return custom_op("gather", out, [(a, da)])
+def scatter_add(indices, values, n: int) -> np.ndarray:
+    """Rows of ``values`` summed into ``n`` rows by index: what
+    ``np.add.at`` on zeros gives, bit for bit, since ``np.bincount`` also
+    adds in input order, but one pass rather than one call per entry.
+
+    ``indices`` is a flat array of row numbers in [0, n); ``values`` has
+    one row (of any trailing shape) per index.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    tail = values.shape[1:]
+    cols = int(np.prod(tail))
+    flat = (np.asarray(indices, dtype=np.intp)[:, None] * cols + np.arange(cols)).reshape(-1)
+    out = np.bincount(flat, weights=values.reshape(-1), minlength=n * cols)
+    return out.reshape((n,) + tail)
 
 
 def tile_rows(v, reps: int) -> Tensor:

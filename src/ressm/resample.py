@@ -390,15 +390,13 @@ def compress_tracked(
     def backward(g):
         idx = nbrs.reshape(-1)
         d_blocks = (g @ gamma.T).reshape(idx.size, -1)
-        d_x = np.zeros(x.shape)
-        np.add.at(d_x, idx, d_blocks[:, :width])
+        d_x = ad.scatter_add(idx, d_blocks[:, :width], len(x))
         # d exp(-diff^2) / d diff = -2 diff exp(-diff^2); diff is
         # recomputed rather than kept alive between the passes.
         eps = feats.reshape(idx.size, -1)[:, width:]
         d_diff = d_blocks[:, width:] * eps * (dk.reshape(-1, 1) - mus) * -2.0
         d_dk = d_diff.sum(axis=1)
-        d_src = np.zeros(src.shape)
-        np.add.at(d_src, idx, -d_dk)
+        d_src = ad.scatter_add(idx, -d_dk, len(src))
         return {
             "x": d_x,
             "gamma": flat.T @ g,

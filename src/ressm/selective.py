@@ -8,17 +8,28 @@ them to this op; keeping the whole scan in one node makes sequence
 training tractable without giving up exact reverse-mode gradients.
 
 Both the forward recurrence and the backward adjoint recurrence are
-first-order linear scans, h_t = decay_t h_{t-1} + drive_t.  They run by
-recursive doubling (Hillis-Steele; Blelloch 1990): ceil(log2 T) passes,
-each a few whole-array numpy ops, instead of T Python steps.  Decays
-and decay products below sqrt(smallest normal) ~ 1.5e-154 are flushed
-to zero so that no pass computes on subnormals; each flush drops a term
-smaller than 1.5e-154 times the state it would have carried.
-Sums run in a different order from the step-by-step recurrence, so
-outputs match ``ssm.varying_scan`` to rounding, not bit for bit.
+first-order linear scans, h_t = decay_t h_{t-1} + drive_t, run by
+recursive doubling (Hillis-Steele; Blelloch 1990): ceil(log2 T) passes
+of three whole-array numpy ops each, instead of T Python steps; the
+adjoint runs backwards in place.  Decays and decay products below
+sqrt(smallest normal) ~ 1.5e-154 are flushed to zero, on the passes
+whose products can reach that floor, so that no pass computes on
+subnormals; each flush drops a term smaller than 1.5e-154 times the
+state it would have carried.  Sums run in a different order from the
+step-by-step recurrence, so outputs match ``ssm.varying_scan`` to
+rounding, not bit for bit.
+
+Around the recurrence, each step is one pass over [T, W*N] arrays:
+elementwise, or a product with a 0/1 selector that spreads a
+per-channel or per-state factor across its block or sums a block
+(``_selectors``).  The forward saves phi(z) and the states; the
+backward recomputes z and e^z and takes phi'(z) = (e^z - phi(z)) / z.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -33,80 +44,119 @@ __all__ = ["ssm_scan"]
 _DECAY_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 
 
-def _linear_scan(decay, drive, longest):
-    """h_t = decay_t * h_{t-1} + drive_t from h_{-1} = 0, along axis 0.
+def _linear_scan(decay, drive, spare, longest, reverse=False):
+    """h_t = decay_t * h_{t-1} + drive_t from h_{-1} = 0, along axis 0;
+    with ``reverse``, h_t = decay_{t+1} * h_{t+1} + drive_t from the end.
 
     Recursive doubling (Hillis-Steele): after the pass with stride k,
-    ``h[t]`` holds the recurrence started from zero at t - 2k and
-    ``span[t]`` the product of decays over (t - 2k, t], so ceil(log2 T)
-    vectorised passes replace the loop over t.  decay_0 is never read.
-    A zero decay cuts the recurrence: every span across it is exactly 0,
-    so when no run between zero decays is longer than ``longest`` rows,
-    ceil(log2 longest) passes finish it.  Works in place to spare fresh
-    pages: ``drive`` becomes h, which is returned, and ``decay`` is
-    overwritten.
+    ``h[t]`` holds the recurrence started from zero 2k rows back (ahead,
+    in reverse) and the span the product of the 2k decays in between,
+    so ceil(log2 T) vectorised passes replace the loop over t.  The
+    decay of the first step (last, in reverse) is never read.  A zero
+    decay cuts the recurrence: every span across it is exactly 0, so
+    when no run between zero decays is longer than ``longest`` rows,
+    ceil(log2 longest) passes finish it.
+
+    Decays must be non-negative.  Each pass writes only the span entries
+    the next pass reads, into the other of two buffers.  Works in place:
+    ``drive`` becomes h, which is returned, and ``decay`` and ``spare``
+    (an array of h's shape) serve as the span buffers.
     """
     h, span = drive, decay
-    np.copyto(span, 0.0, where=span < _DECAY_FLOOR)
-    buf = np.empty_like(h)
+    # Every nonzero span of m decays is at least low**m, so a pass whose
+    # bound clears the floor by a margin (far above rounding) skips the
+    # flush; the floor-crossing passes run the masked write.
+    low = span.min(where=span > 0.0, initial=1.0)
+    if low < _DECAY_FLOOR:
+        np.copyto(span, 0.0, where=span < _DECAY_FLOOR)
+        low = _DECAY_FLOOR
+    log_low, log_floor = math.log(low), math.log(_DECAY_FLOOR) + 1e-6
     T = len(h)
     k = 1
     while k < longest:
-        tmp = buf[: T - k]
-        np.multiply(span[k:], h[:-k], out=tmp)
-        h[k:] += tmp
+        # span[i] is the product of the k decays ending (starting, in
+        # reverse) at step i, valid for every i this pass reads.
+        tmp = spare[: T - k]
+        if reverse:
+            np.multiply(span[1 : T - k + 1], h[k:], out=tmp)
+            h[: T - k] += tmp
+        else:
+            np.multiply(span[k:], h[: T - k], out=tmp)
+            h[k:] += tmp
         if 2 * k < longest:  # the last level's span product would go unused
-            np.multiply(span[k:], span[:-k], out=tmp)
-            np.copyto(tmp, 0.0, where=tmp < _DECAY_FLOOR)
-            span[k:] = tmp
+            lo, hi, off = (1, T - 2 * k + 1, k) if reverse else (2 * k, T, -k)
+            new = spare[lo:hi]
+            np.multiply(span[lo:hi], span[lo + off : hi + off], out=new)
+            if 2 * k * log_low < log_floor:
+                np.copyto(new, 0.0, where=new < _DECAY_FLOOR)
+            span, spare = spare, span
         k *= 2
     return h
 
 
-# Fresh [T, W, N] arrays cost page faults as well as arithmetic, so the
-# two passes below reuse an operand's memory once it has been read for
-# the last time.  The forward turns z into the decays; the backward
-# recomputes z (one product) rather than keep it alive between passes.
+@functools.cache
+def _selectors(W, N):
+    """0/1 maps between per-channel [T, W] or per-state [T, N] rows and
+    the scan's [T, W*N] rows (channel-major): ``x @ sel`` repeats each
+    entry across the block it spans, ``y @ sel.T`` sums each block."""
+    by_w, by_n = np.repeat(np.eye(W), N, axis=1), np.tile(np.eye(N), W)
+    by_w.flags.writeable = by_n.flags.writeable = False
+    return by_w, by_n
+
+
+# Broadcasting a [T, W] or [T, N] factor over the short trailing axis of
+# [T, W, N] pays numpy's per-row loop overhead T*W or T*N times; spread
+# once by a selector, it is a plain [T, W*N] operand, reused.  Fresh
+# [T, W*N] arrays cost page faults as well as arithmetic, so passes write
+# into arrays whose last read is behind them where one is at hand.
 def _scan_forward(a, deltas, b_seq, c_seq, u, starts, longest):
-    z = deltas[:, None, None] * a[None, :, :]  # [T,W,N]
+    by_w, by_n = _selectors(*a.shape)
+    z = np.multiply(deltas[:, None], a.reshape(1, -1))  # [T, W*N]
     phis = phi(z)
-    drive = phis * (deltas[:, None] * b_seq)[:, None, :]
-    drive *= u[:, :, None]
+    drive = (deltas[:, None] * b_seq) @ by_n
+    drive *= phis
+    u_w = u @ by_w
+    drive *= u_w
     decay = np.exp(z, out=z)
     decay[starts] = 0.0  # each segment starts from a zero state
-    hs = _linear_scan(decay, drive, longest)
-    ys = np.einsum("twn,tn->tw", hs, c_seq)
+    hs = _linear_scan(decay, drive, u_w, longest)
+    ys = np.einsum("twn,tn->tw", hs.reshape(-1, *a.shape), c_seq)
     return ys, (phis, hs)
 
 
 def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
     phis, hs = saved
-    z = deltas[:, None, None] * a[None, :, :]
+    by_w, by_n = _selectors(*a.shape)
+    z = np.multiply(deltas[:, None], a.reshape(1, -1))
     es = np.exp(z)
+    # d drive_t / dz_t = phi'(z_t) u_t (delta_t b_t), phi' from the phi
+    # and e^z in hand.
+    dz = phi_prime(z, phis, es)
     es[starts] = 0.0  # no state crosses into a segment, nor gradient out
-    # Accumulated state gradient G[t] = dL/dh_t = outer[t] + es[t+1] G[t+1]:
+    # e_t h_{t-1}: times the state gradient, the decay's share of dz.
+    # Taken now, since the scan below overwrites es.
+    carried = np.multiply(es[1:], hs[:-1], out=z[1:])
+    dy_w = dy @ by_w
+    # Accumulated state gradient G[t] = dL/dh_t = dy_t c_t + e_{t+1} G[t+1]:
     # the same recurrence run backwards in time.
-    scratch = np.empty_like(es)
-    scratch[0] = 0.0
-    scratch[1:] = es[:0:-1]
-    g = _linear_scan(scratch, np.einsum("tw,tn->twn", dy[::-1], c_seq[::-1]),
-                     longest)[::-1]
-
-    scaled_b = deltas[:, None] * b_seq  # [T,N]
-    du = np.einsum("twn,twn,tn->tw", g, phis, scaled_b)
-    d_bbar = np.multiply(g, u[:, :, None], out=scratch)
-    d_scaled_b = np.einsum("twn,twn->tn", d_bbar, phis)
-    db = d_scaled_b * deltas[:, None]
-    dz = phi_prime(z)
-    dz *= d_bbar
-    dz *= scaled_b[:, None, :]
-    carried = es[1:]
+    g = c_seq @ by_n
+    g *= dy_w
+    dc = np.multiply(hs, dy_w, out=dy_w) @ by_n.T
+    g = _linear_scan(es, g, dy_w, longest, reverse=True)
+    u_w = np.matmul(u, by_w, out=es)
+    sb_n = np.matmul(deltas[:, None] * b_seq, by_n, out=dy_w)
     carried *= g[1:]
-    carried *= hs[:-1]
+    dz *= g
+    dz *= u_w
+    dz *= sb_n
     dz[1:] += carried
-    dd = np.einsum("tn,tn->t", d_scaled_b, b_seq) + np.einsum("twn,wn->t", dz, a)
-    da = np.einsum("twn,t->wn", dz, deltas)
-    dc = np.einsum("tw,twn->tn", dy, hs)
+    g *= phis  # d drive
+    du = np.multiply(g, sb_n, out=z) @ by_w.T
+    g *= u_w
+    d_scaled_b = g @ by_n.T
+    db = d_scaled_b * deltas[:, None]
+    dd = np.einsum("tn,tn->t", d_scaled_b, b_seq) + dz @ a.reshape(-1)
+    da = (deltas @ dz).reshape(a.shape)
     return {"a": da, "deltas": dd, "b_seq": db, "c_seq": dc, "u": du}
 
 

@@ -270,6 +270,32 @@ class TestExtendedOps:
         g = tape.grad(t)
         np.testing.assert_array_equal(g.sum(axis=1), [3.0, 0.0, 6.0, 0.0])
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(0, 40),
+        tail=st.sampled_from([(), (1,), (3,), (2, 3)]),
+        order=st.sampled_from(["sorted", "shuffled"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scatter_add_bit_equal_to_add_at(self, n, m, tail, order, seed):
+        # Few rows and many indices: repeats are the rule, and bincount
+        # must add them in the order np.add.at does.
+        r = rng(seed)
+        idx = r.integers(0, n, size=m)
+        if order == "sorted":
+            idx = np.sort(idx)
+        values = r.normal(size=(m, *tail)) * np.exp(r.normal(size=(m, *tail)) * 8)
+        want = np.zeros((n, *tail))
+        np.add.at(want, idx, values)
+        got = ad.scatter_add(idx, values, n)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_scatter_add_empty_index(self):
+        got = ad.scatter_add(np.array([], dtype=np.intp), np.zeros((0, 3)), 4)
+        np.testing.assert_array_equal(got, np.zeros((4, 3)))
+
     def test_gather_rows_out_of_range(self):
         with pytest.raises(ad.ShapeError):
             ad.gather_rows(ad.constant([[1.0]]), [1])

@@ -178,9 +178,10 @@ class TestSsmScan:
         assert ad.grad_check(f, base[which]) < 1e-4
 
 
-# Lengths at and just past powers of two end a doubling pass exactly or
-# leave one row for a last, partial level.
-_EDGE_LENGTHS = [2**k for k in range(10)] + [2**k + 1 for k in range(10)]
+# Lengths at and either side of powers of two end a doubling pass
+# exactly, stop one row short of it, or leave one row for a last,
+# partial level.
+_EDGE_LENGTHS = sorted({2**k + d for k in range(10) for d in (-1, 0, 1)} - {0})
 
 
 class TestDoublingScanOracle:
@@ -212,6 +213,76 @@ class TestDoublingScanOracle:
             assert np.all(np.abs(y[:, w] - want) <= 1e-12 * np.abs(want).max())
 
 
+def _reference_doubling(decay, drive, longest):
+    """The doubling scan in its plainest form: every pass copies the span
+    product back in full and flushes it whatever its range."""
+    floor = selective._DECAY_FLOOR
+    h, span = drive.copy(), decay.copy()
+    span[span < floor] = 0.0
+    k = 1
+    while k < longest:
+        h[k:] += span[k:] * h[:-k]
+        if 2 * k < longest:
+            prod = span[k:] * span[:-k]
+            prod[prod < floor] = 0.0
+            span[k:] = prod
+        k *= 2
+    return h
+
+
+class TestLinearScan:
+    """``_linear_scan`` writes only the span rows the next pass reads,
+    alternates two buffers and skips the flush where a bound shows no
+    span can reach the floor; none of that may move a bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        T=st.sampled_from(_EDGE_LENGTHS),
+        cuts=st.lists(st.integers(1, 600), max_size=5),
+        log_decay=st.sampled_from([(-0.5, 0.0), (-30.0, -0.5), (-400.0, -300.0), (-800.0, 0.0)]),
+        reverse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_plain_doubling(self, T, cuts, log_decay, reverse, seed):
+        # Log-decays from slow (no pass flushes) through ones whose
+        # products cross the floor a few passes in, to decays straddling
+        # the floor themselves (every pass flushes), and some underflow.
+        r = np.random.default_rng(seed)
+        decay = np.exp(r.uniform(*log_decay, size=(T, 3)))
+        drive = r.normal(size=(T, 3))
+        starts = sorted({0} | {c for c in cuts if c < T})  # length-1 segments included
+        decay[starts] = 0.0
+        longest = max(hi - lo for lo, hi in ad.segments(starts, T))
+        if reverse:
+            # h_t = decay_{t+1} h_{t+1} + drive_t is the forward scan of
+            # the reversed rows with each decay moved one row on.
+            shifted = np.zeros_like(decay)
+            shifted[1:] = decay[:0:-1]
+            want = _reference_doubling(shifted, drive[::-1], longest)[::-1]
+        else:
+            want = _reference_doubling(decay, drive, longest)
+        got = selective._linear_scan(decay.copy(), drive.copy(), np.empty_like(drive), longest,
+                                     reverse=reverse)
+        np.testing.assert_array_equal(got, want)
+
+    def test_flush_both_taken_and_skipped(self, monkeypatch):
+        # Decays of e^-10: products of up to 32 stay above the floor, so
+        # the passes building spans of 2 to 32 skip the masked write and
+        # those building 64 and 128 take it.
+        flushed = []
+        copyto = np.copyto
+
+        def spy(dst, src, where=True, **kw):
+            flushed.append(len(dst))
+            return copyto(dst, src, where=where, **kw)
+
+        monkeypatch.setattr(selective.np, "copyto", spy)
+        T = 256
+        decay = np.full((T, 2), np.exp(-10.0))
+        selective._linear_scan(decay, np.ones((T, 2)), np.empty((T, 2)), T)
+        assert flushed == [T - 64, T - 128]
+
+
 def _scan_operands(r, T, W, N):
     return {
         "a": -r.uniform(0.3, 1.5, size=(W, N)),
@@ -227,7 +298,7 @@ class TestSegmentedScan:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        lengths=st.lists(st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+        lengths=st.lists(st.one_of(st.integers(1, 70), st.sampled_from(_EDGE_LENGTHS[:-6])),
                          min_size=1, max_size=6),
         W=st.integers(1, 3),
         N=st.integers(1, 4),
@@ -268,6 +339,31 @@ class TestSegmentedScan:
 
         assert ad.grad_check(f, base[which]) < 1e-4
 
+    @pytest.mark.parametrize("which", ["a", "deltas", "b_seq", "c_seq", "u"])
+    def test_gradients_with_a_fast_mode(self, which):
+        # A mode at a = -50, and some steps of 20: its decays underflow
+        # to zero on those steps, and elsewhere (e^-5 to e^-30) their
+        # products fall below the floor within a few passes, forward and
+        # in the adjoint scan, so the flush runs on live spans.  The
+        # second channel decays slowly, so a step of 20 still leaves
+        # its interval a gradient central differences resolve.
+        r = np.random.default_rng(zlib.crc32(which.encode()) + 50)
+        T, W, N = 37, 2, 3
+        starts = (0, 17, 18)
+        base = _scan_operands(r, T, W, N)
+        base["a"][0, 0] = -50.0
+        base["a"][1] = [-0.02, -0.05, -0.1]
+        base["deltas"][r.random(T) < 0.25] = 20.0
+        weight = r.normal(size=(T, W))
+
+        def f(t):
+            args = dict(base)
+            args[which] = t
+            y = selective.ssm_scan(*args.values(), starts=starts)
+            return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
+
+        assert ad.grad_check(f, base[which]) < 1e-4
+
     def test_no_state_or_gradient_crosses_a_start(self):
         r = np.random.default_rng(40)
         op = _scan_operands(r, 12, 2, 3)
@@ -296,7 +392,7 @@ def _phi_prime_masked(z):
     zs = z[small]
     out[small] = 0.5 + zs / 3.0 + zs * zs / 8.0 + zs**3 / 30.0
     zb = z[~small]
-    out[~small] = (np.exp(zb) * (zb - 1.0) + 1.0) / (zb * zb)
+    out[~small] = (np.exp(zb) - _phi_masked(zb)) / zb
     return out
 
 
