@@ -3,10 +3,12 @@
 Each batch's sequences are packed along the row axis into groups of at
 most ``MAX_TAPE_ROWS`` rows (``network.Packed``), one tape and one
 summed loss per group; the gradients are averaged over the batch, then
-a global-norm clip and a decoupled-weight-decay Adam step.  Batchnorm
-takes its training moments over a group's rows.  Everything is seeded
-and single-threaded, so a (seed, config) pair reproduces the metric
-history bit for bit.
+a global-norm clip and a decoupled-weight-decay Adam step over flat
+moment buffers.  Batchnorm takes its training moments over a group's
+rows, so on the batchnorm layout a group holds at least two sequences.
+Evaluation packs the same way, one forward per group with no tape.
+Everything is seeded and single-threaded, so a (seed, config) pair
+reproduces the metric history bit for bit.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ __all__ = [
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
-# Rows per training tape.  A tape keeps every row's activations alive
-# until its backward, so larger groups trade memory for fewer ops.
+# Rows per packed forward, in training and in evaluation.  A training
+# tape keeps every row's activations alive until its backward, so larger
+# groups trade memory for fewer ops.
 MAX_TAPE_ROWS = 1024
 
 
@@ -75,31 +78,50 @@ def adamw_step(params: dict, grads: dict, cfg: TrainConfig, state: dict,
                lr: float | None = None) -> dict:
     """One decoupled-weight-decay Adam update, in place.
 
-    ``state`` holds the step count and per-name moment arrays and is
-    created on first use.  Returns the state for chaining.
+    ``state`` holds the step count and the moments, created on first
+    use: two flat arrays over every parameter, with ``state["m"][name]``
+    and ``state["v"][name]`` views into them.  The update runs once
+    over all parameters joined end to end.  Returns the state for
+    chaining.
     """
     if not state:
-        state["step"] = 0
-        state["m"] = {k: np.zeros_like(v) for k, v in params.items()}
-        state["v"] = {k: np.zeros_like(v) for k, v in params.items()}
+        size = sum(p.size for p in params.values())
+        state.update(step=0, m_flat=np.zeros(size), v_flat=np.zeros(size), m={}, v={})
+        off = 0
+        for name, p in params.items():
+            for key in ("m", "v"):
+                state[key][name] = state[key + "_flat"][off:off + p.size].reshape(p.shape)
+            off += p.size
     lr = cfg.lr if lr is None else lr
     b1, b2 = ADAM_BETAS
     state["step"] += 1
     t = state["step"]
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
+    names = state["m"].keys()
+    for name in names:
+        if grads[name].shape != params[name].shape:
             raise ValueError(f"gradient shape mismatch for '{name}'")
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-        p -= lr * cfg.weight_decay * p
+    g = np.concatenate([grads[name].ravel() for name in names])
+    p = np.concatenate([params[name].ravel() for name in names])
+    m, v = state["m_flat"], state["v_flat"]
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    g2 = (1.0 - b2) * g
+    g2 *= g
+    v += g2
+    den = v / (1.0 - b2**t)
+    np.sqrt(den, out=den)
+    den += ADAM_EPS
+    upd = m / (1.0 - b1**t)
+    upd *= lr
+    upd /= den
+    p -= upd
+    p -= lr * cfg.weight_decay * p
+    off = 0
+    for name in names:
+        arr = params[name]
+        arr[...] = p[off:off + arr.size].reshape(arr.shape)
+        off += arr.size
     return state
 
 
@@ -132,16 +154,27 @@ def _topk_hit(logits: np.ndarray, label: int, k: int) -> bool:
 
 def evaluate(model: ResampleNetwork, dataset) -> EvalMetrics:
     """Mean loss, top-1/top-5 hit rates, and exp(loss) as perplexity
-    over (tokens, label) examples."""
+    over (tokens, label) examples.
+
+    The examples are scored in groups split as in training, with no
+    two-sequence floor since eval-mode batchnorm reads its running
+    buffers: one ``predict`` per group on the ``Packed`` sequences, or
+    on the tokens alone for a group of one.  Loss and hits are taken
+    per example from its logits row.
+    """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     losses = []
     hits1 = hits5 = 0
-    for item in dataset:
-        logits = model.predict(item.tokens)
-        losses.append(ad.cross_entropy(ad.constant(logits), item.label).item())
-        hits1 += _topk_hit(logits, item.label, 1)
-        hits5 += _topk_hit(logits, item.label, 5)
+    for group in _groups(dataset, floor=1):
+        if len(group) == 1:
+            rows = [model.predict(group[0].tokens)]
+        else:
+            rows = model.predict(Packed.of([item.tokens for item in group]))
+        for logits, item in zip(rows, group):
+            losses.append(ad.cross_entropy(ad.constant(logits), item.label).item())
+            hits1 += _topk_hit(logits, item.label, 1)
+            hits5 += _topk_hit(logits, item.label, 5)
     loss = float(np.mean(losses))
     return EvalMetrics(top1=hits1 / len(losses), top5=hits5 / len(losses),
                        loss=loss, perplexity=math.exp(loss))
@@ -163,12 +196,13 @@ class TrainResult:
         ]
 
 
-def _groups(batch):
+def _groups(batch, floor):
     """Split a batch into the fewest groups of near-equal size that fit
-    ``MAX_TAPE_ROWS`` rows, but into groups of at least two sequences
-    when the batch holds two or more."""
-    rows = sum(len(ex.tokens) for ex in batch)
-    n = max(1, min(-(-rows // MAX_TAPE_ROWS), len(batch) // 2))
+    ``MAX_TAPE_ROWS`` rows each, sized by the longest sequence, but into
+    groups of at least ``floor`` sequences when the batch holds that
+    many."""
+    per = max(floor, MAX_TAPE_ROWS // max(len(ex.tokens) for ex in batch))
+    n = max(1, min(-(-len(batch) // per), len(batch) // floor))
     cuts = [len(batch) * j // n for j in range(n + 1)]
     return [batch[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
 
@@ -178,7 +212,10 @@ def _batch_grads(model, batch, epoch, batch_idx):
     grads = {k: np.zeros_like(v) for k, v in model.params.items()}
     loss_sum = 0.0
     hits1 = hits5 = 0
-    for group in _groups(batch):
+    # Train-mode batchnorm takes its moments over a group's rows, which
+    # must span more than one sequence.
+    floor = 2 if model.spec.block.norm_kind == "batchnorm" else 1
+    for group in _groups(batch, floor):
         labels = [ex.label for ex in group]
         tape = ad.Tape()
         try:

@@ -65,6 +65,47 @@ class TestAdamW:
         with pytest.raises(ValueError):
             training.adamw_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, cfg, {})
 
+    def test_flat_step_bit_equal_to_per_parameter_loop(self):
+        # The per-parameter update the flat step replaced, kept as the oracle.
+        def loop_step(params, grads, cfg, state, lr):
+            if not state:
+                state["step"] = 0
+                state["m"] = {k: np.zeros_like(v) for k, v in params.items()}
+                state["v"] = {k: np.zeros_like(v) for k, v in params.items()}
+            b1, b2 = training.ADAM_BETAS
+            state["step"] += 1
+            t = state["step"]
+            for name, p in params.items():
+                g = grads[name]
+                m = state["m"][name]
+                v = state["v"][name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + training.ADAM_EPS)
+                p -= lr * cfg.weight_decay * p
+
+        rng = np.random.default_rng(3)
+        shapes = {"table": (5, 3), "bias": (3,), "scale": (), "cube": (2, 2, 2)}
+        init = {k: rng.normal(size=s) for k, s in shapes.items()}
+        got = {k: v.copy() for k, v in init.items()}
+        want = {k: v.copy() for k, v in init.items()}
+        cfg = training.TrainConfig(lr=3e-3, weight_decay=0.05)
+        got_state, want_state = {}, {}
+        for step in range(6):
+            grads = {k: rng.normal(scale=10.0 ** (step - 3), size=s) for k, s in shapes.items()}
+            lr = cfg.lr * (0.9 ** step)
+            training.adamw_step(got, {k: g.copy() for k, g in grads.items()}, cfg, got_state,
+                                lr=lr)
+            loop_step(want, grads, cfg, want_state, lr)
+            for k in shapes:
+                assert np.array_equal(got[k], want[k]), (step, k)
+                assert np.array_equal(got_state["m"][k], want_state["m"][k]), (step, k)
+                assert np.array_equal(got_state["v"][k], want_state["v"][k]), (step, k)
+
     def test_clip_global_norm(self):
         grads = {"a": np.array([3.0]), "b": np.array([4.0])}
         total = training.clip_global_norm(grads, 1.0)
@@ -117,6 +158,62 @@ class TestEvaluate:
         model = net.ResampleNetwork(tiny_spec(vocab=12, n_classes=4), seed=9)
         with pytest.raises(ValueError):
             training.evaluate(model, [])
+
+    @staticmethod
+    def per_example_metrics(model, dataset):
+        # Scoring one example at a time, as evaluate did before it packed.
+        losses, hits1, hits5 = [], 0, 0
+        for item in dataset:
+            logits = model.predict(item.tokens)
+            losses.append(ad.cross_entropy(ad.constant(logits), item.label).item())
+            hits1 += training._topk_hit(logits, item.label, 1)
+            hits5 += training._topk_hit(logits, item.label, 5)
+        return float(np.mean(losses)), hits1 / len(losses), hits5 / len(losses)
+
+    @pytest.mark.parametrize("norm", ["rmsnorm", "batchnorm", "none"])
+    @pytest.mark.parametrize("pooling", ["mean", "last"])
+    def test_packed_matches_per_example(self, norm, pooling):
+        t = tasks.SparseSignalTask(seq_len=24, n_classes=6, noise_vocab=4,
+                                   n_train=1, n_val=10, seed=51)
+        spec = tiny_spec(vocab=t.vocab_size, n_classes=6, depth=2)
+        spec.block.norm_kind = norm
+        spec.block.norm_position = "post_skip" if norm == "batchnorm" else "pre"
+        spec.pooling = pooling
+        model = net.ResampleNetwork(spec, seed=52)
+        rng = np.random.default_rng(53)
+        for buf in model.buffers.values():  # eval-mode batchnorm reads these
+            buf[...] = rng.uniform(0.5, 1.5, size=buf.shape)
+        _, val = tasks.gen_sparse_task(t)
+        assert len(training._groups(val, floor=1)) == 1
+        m = training.evaluate(model, val)
+        loss, top1, top5 = self.per_example_metrics(model, val)
+        assert m.loss == pytest.approx(loss, rel=1e-12, abs=0)
+        assert (m.top1, m.top5) == (top1, top5)
+
+    def test_one_predict_per_group(self, monkeypatch):
+        real = net.ResampleNetwork.predict
+        calls = []
+        monkeypatch.setattr(net.ResampleNetwork, "predict",
+                            lambda self, x: calls.append(x) or real(self, x))
+        t = tasks.SparseSignalTask(seq_len=24, n_train=1, n_val=8, seed=55)
+        _, val = tasks.gen_sparse_task(t)
+        model = net.ResampleNetwork(tiny_spec(vocab=t.vocab_size, n_classes=t.n_classes),
+                                    seed=54)
+
+        # Eight 24-row sequences over 64-row groups: four groups of two.
+        monkeypatch.setattr(training, "MAX_TAPE_ROWS", 64)
+        training.evaluate(model, val)
+        assert [len(x.starts) for x in calls] == [2, 2, 2, 2]
+
+        # A sequence of MAX_TAPE_ROWS rows fills its group alone, and runs
+        # on its plain tokens.
+        calls.clear()
+        monkeypatch.setattr(training, "MAX_TAPE_ROWS", 24)
+        training.evaluate(model, val)
+        assert len(calls) == len(val)
+        for x, item in zip(calls, val):
+            assert not isinstance(x, net.Packed)
+            assert x is item.tokens
 
 
 class TestTrainLoop:
@@ -237,7 +334,7 @@ class TestPackedBatch:
         # summed loss over a packed group has the per-example gradients.
         t = tasks.SparseSignalTask(seq_len=seq_len, n_train=8, n_val=1, seed=44)
         batch, _ = tasks.gen_sparse_task(t)
-        assert len(training._groups(batch)) == n_groups
+        assert len(training._groups(batch, floor=1)) == n_groups
         branches = [net.BranchSpec(kappa=None), net.BranchSpec(kappa=0.5)]
         spec = net.NetworkSpec(depth=2, h_dim=16, block=net.BlockSpec(branches, norm_kind=norm),
                                n_classes=t.n_classes, vocab_size=t.vocab_size)
@@ -270,7 +367,33 @@ class TestPackedBatch:
     def test_groups(self, batch, rows, sizes):
         items = [tasks.Example(tokens=np.zeros(rows, dtype=int), label=0, informative=None)
                  for _ in range(batch)]
-        assert [len(g) for g in training._groups(items)] == sizes
+        assert [len(g) for g in training._groups(items, floor=2)] == sizes
+
+    @pytest.mark.parametrize("batch, rows, sizes", [
+        (16, 1024, [1] * 16),            # one sequence fills a group
+        (16, 4096, [1] * 16),            # a sequence longer than a group runs alone
+        (16, 300, [2, 3, 3, 2, 3, 3]),   # no group passes 1024 rows
+    ])
+    def test_groups_without_floor(self, batch, rows, sizes):
+        items = [tasks.Example(tokens=np.zeros(rows, dtype=int), label=0, informative=None)
+                 for _ in range(batch)]
+        assert [len(g) for g in training._groups(items, floor=1)] == sizes
+
+    @pytest.mark.parametrize("norm, sizes", [("batchnorm", [2, 2]), ("rmsnorm", [1, 1, 1, 1])])
+    def test_two_sequence_floor_only_for_batchnorm(self, monkeypatch, norm, sizes):
+        # Four 12-row sequences over 12-row tapes.
+        monkeypatch.setattr(training, "MAX_TAPE_ROWS", 12)
+        t = tasks.SparseSignalTask(seq_len=12, n_train=4, n_val=1, seed=46)
+        batch, _ = tasks.gen_sparse_task(t)
+        spec = tiny_spec(vocab=t.vocab_size, n_classes=t.n_classes)
+        spec.block.norm_kind = norm
+        model = net.ResampleNetwork(spec, seed=47)
+        real = model.forward
+        seen = []
+        monkeypatch.setattr(model, "forward",
+                            lambda x, **k: seen.append(len(x.starts)) or real(x, **k))
+        training._batch_grads(model, batch, 0, 0)
+        assert seen == sizes
 
 
 class TestTapeLifetime:
@@ -292,7 +415,7 @@ class TestTapeLifetime:
         gc.disable()
         try:
             training._batch_grads(model, train_set, 0, 0)
-            assert len(tapes) == len(training._groups(train_set)) == 2
+            assert len(tapes) == len(training._groups(train_set, floor=1)) == 2
             assert all(ref() is None for ref in tapes)
         finally:
             if was_enabled:
