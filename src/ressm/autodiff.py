@@ -56,7 +56,7 @@ __all__ = [
     "reshape",
     "cross_entropy",
     "custom_op",
-    "shared_grads",
+    "fused_op",
     "grad_check",
 ]
 
@@ -237,8 +237,7 @@ def custom_op(kind: str, value: np.ndarray, pairs) -> Tensor:
     maps the upstream gradient to that operand's gradient.  Untracked
     operands may be listed; they are skipped.  A tensor may be listed
     more than once; its gradients then accumulate in the listed order.
-    This is the extension point the scan, normalisation and resampler
-    ops build on.
+    Every tape op records its node here.
     """
     value = np.asarray(value, dtype=np.float64)
     if not np.isfinite(value).all():
@@ -267,14 +266,20 @@ def custom_op(kind: str, value: np.ndarray, pairs) -> Tensor:
     return Tensor._wrap(value, tape, tape._append(kind, tuple(parents), vjp))
 
 
-def shared_grads(backward):
-    """One backward pass shared by the grad_fns of a fused ``custom_op``.
+def fused_op(kind: str, forward, *operands) -> Tensor:
+    """Record an op written as one numpy forward and one backward.
 
-    ``backward`` maps the upstream gradient to a dict of every operand's
-    gradient; the returned function runs it once per upstream gradient
-    and serves each operand's entry from that run.  A backward after
-    ``Tape.reset()`` brings a new upstream gradient, so it runs again.
+    ``forward`` takes the operands' arrays, in order, and returns
+    ``(value, backward)``; ``backward`` maps the upstream gradient to a
+    tuple of gradients, one per operand in the same order.  It runs once
+    per upstream gradient, however many operands are tracked, and again
+    after ``Tape.reset()``, since a new backward brings a new gradient.
+    Operands that are not tensors are constants; untracked operands get
+    no gradient, and one listed twice gets both its gradients, in order.
+    The scan, normalisation and resampler ops are written this way.
     """
+    tensors = [_lift(x) for x in operands]
+    value, backward = forward(*(t.data for t in tensors))
     memo = [None, None]
 
     def grads(g):
@@ -282,7 +287,7 @@ def shared_grads(backward):
             memo[0], memo[1] = g, backward(g)
         return memo[1]
 
-    return grads
+    return custom_op(kind, value, [(t, lambda g, i=i: grads(g)[i]) for i, t in enumerate(tensors)])
 
 
 def _scalar_like(t: Tensor) -> bool:

@@ -3,11 +3,13 @@
 Files are `section.key = value` lines with `#` comments; the command
 line can override any key with repeated `--set section.key=value`.
 Every command declares a schema of known keys with types and defaults;
-anything outside the schema is an error that names the offending key.
+anything outside the schema, and any value that does not parse or is a
+non-finite float, is an error that names the offending key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -79,7 +81,8 @@ def apply_overrides(raw: dict[str, str], overrides: list[str]) -> dict[str, str]
 
 
 def resolve(raw: dict[str, str], schema: dict[str, Field]) -> dict[str, Any]:
-    """Type and default every schema key; reject anything else by name."""
+    """Type and default every schema key; reject anything else, and any
+    non-finite float (alone or in a list), by name."""
     for key in raw:
         if key not in schema:
             raise ConfigError(f"unknown config key '{key}'")
@@ -90,6 +93,10 @@ def resolve(raw: dict[str, str], schema: dict[str, Field]) -> dict[str, Any]:
                 out[key] = fld.parse(raw[key])
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"bad value for config key '{key}': {e}") from e
+            items = out[key] if isinstance(out[key], list) else [out[key]]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+                raise ConfigError(f"bad value for config key '{key}': "
+                                  f"{raw[key]!r} is not finite")
         else:
             out[key] = fld.default
     return out

@@ -177,25 +177,21 @@ def classification_preset(depth: int, n_classes: int, vocab_size: int | None = N
 def rmsnorm(x, gain) -> ad.Tensor:
     """Scale each row of [L, H] to unit root-mean-square, then apply the
     per-channel gain."""
-    x_t = x if isinstance(x, ad.Tensor) else ad.constant(x)
-    g_t = gain if isinstance(gain, ad.Tensor) else ad.constant(gain)
-    xv = x_t.data
-    if xv.ndim != 2:
-        raise ad.ShapeError(f"rmsnorm expects [L, H], got {x_t.shape}")
-    gv = g_t.data
-    H = xv.shape[1]
-    r = np.sqrt(np.mean(xv * xv, axis=1, keepdims=True) + RMSNORM_EPS)  # [L,1]
-    xhat = xv / r
-    out = xhat * gv[None, :]
+    def forward(xv, gv):
+        if xv.ndim != 2:
+            raise ad.ShapeError(f"rmsnorm expects [L, H], got {xv.shape}")
+        H = xv.shape[1]
+        r = np.sqrt(np.mean(xv * xv, axis=1, keepdims=True) + RMSNORM_EPS)  # [L,1]
+        xhat = xv / r
 
-    def dx(dy):
-        dot = np.sum(dy * gv[None, :] * xv, axis=1, keepdims=True)
-        return dy * gv[None, :] / r - xv * dot / (H * r**3)
+        def backward(dy):
+            dot = np.sum(dy * gv[None, :] * xv, axis=1, keepdims=True)
+            return (dy * gv[None, :] / r - xv * dot / (H * r**3),
+                    np.sum(dy * xhat, axis=0))
 
-    def dg(dy):
-        return np.sum(dy * xhat, axis=0)
+        return xhat * gv[None, :], backward
 
-    return ad.custom_op("rmsnorm", out, [(x_t, dx), (g_t, dg)])
+    return ad.fused_op("rmsnorm", forward, x, gain)
 
 
 def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
@@ -209,52 +205,34 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     over the group's B*L rows, as standard BatchNorm takes them for
     sequences.  A group of one sequence has only its own positions.
     """
-    x_t = x if isinstance(x, ad.Tensor) else ad.constant(x)
-    g_t = gamma if isinstance(gamma, ad.Tensor) else ad.constant(gamma)
-    b_t = beta if isinstance(beta, ad.Tensor) else ad.constant(beta)
-    xv = x_t.data
-    if xv.ndim != 2:
-        raise ad.ShapeError(f"batchnorm expects [L, H], got {x_t.shape}")
-    L = xv.shape[0]
-    gv, bv = g_t.data, b_t.data
+    def forward(xv, gv, bv):
+        if xv.ndim != 2:
+            raise ad.ShapeError(f"batchnorm expects [L, H], got {xv.shape}")
+        if train:
+            mean = xv.mean(axis=0)
+            var = xv.var(axis=0)  # biased, matching the normalisation
+            m = BATCHNORM_MOMENTUM
+            running_mean[...] = running_mean * (1.0 - m) + m * mean
+            running_var[...] = running_var * (1.0 - m) + m * var
+        else:
+            mean = running_mean
+            var = running_var
+        inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
+        xhat = (xv - mean[None, :]) * inv[None, :]
 
-    if train:
-        mean = xv.mean(axis=0)
-        var = xv.var(axis=0)  # biased, matching the normalisation
-        running_mean *= 1.0 - BATCHNORM_MOMENTUM
-        running_mean += BATCHNORM_MOMENTUM * mean
-        running_var *= 1.0 - BATCHNORM_MOMENTUM
-        running_var += BATCHNORM_MOMENTUM * var
-    else:
-        mean = running_mean
-        var = running_var
+        def backward(dy):
+            if train:
+                dyg = dy * gv[None, :]
+                dx = inv[None, :] * (
+                    dyg - dyg.mean(axis=0)[None, :] - xhat * (dyg * xhat).mean(axis=0)[None, :]
+                )
+            else:
+                dx = dy * (gv * inv)[None, :]
+            return dx, np.sum(dy * xhat, axis=0), np.sum(dy, axis=0)
 
-    inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
-    xhat = (xv - mean[None, :]) * inv[None, :]
-    out = xhat * gv[None, :] + bv[None, :]
+        return xhat * gv[None, :] + bv[None, :], backward
 
-    if train:
-
-        def dx(dy):
-            dyg = dy * gv[None, :]
-            return inv[None, :] * (
-                dyg - dyg.mean(axis=0)[None, :] - xhat * (dyg * xhat).mean(axis=0)[None, :]
-            )
-
-    else:
-
-        def dx(dy):
-            return dy * (gv * inv)[None, :]
-
-    return ad.custom_op(
-        "batchnorm",
-        out,
-        [
-            (x_t, dx),
-            (g_t, lambda dy: np.sum(dy * xhat, axis=0)),
-            (b_t, lambda dy: np.sum(dy, axis=0)),
-        ],
-    )
+    return ad.fused_op("batchnorm", forward, x, gamma, beta)
 
 
 # ---------------------------------------------------------------------------

@@ -175,28 +175,21 @@ def interval_map(x_t: ad.Tensor, theta_delta_t: ad.Tensor, delta_t: ad.Tensor,
     delta's gradient in the order, and with the rounding, of the
     composed ops.
     """
-    x, theta, delta = x_t.data, theta_delta_t.data, delta_t.data
-    L, width = x.shape
-    theta_col = theta.reshape(width, 1)
-    sig = ad._sigmoid((x @ theta_col).reshape(L))
-    rate = delta * (1.0 - kappa)
+    def forward(x, theta, delta, _):
+        L, width = x.shape
+        theta_col = theta.reshape(width, 1)
+        sig = ad._sigmoid((x @ theta_col).reshape(L))
+        rate = delta * (1.0 - kappa)
 
-    def backward(g):
-        d_pre = (g * rate * sig * (1.0 - sig)).reshape(L, 1)
-        return {
-            "x": d_pre @ theta_col.T,
-            "theta": (x.T @ d_pre).reshape(theta.shape),
-            "floor": np.reshape(np.sum(g), delta.shape) * kappa,
-            "rate": np.reshape(np.sum(g * sig), delta.shape) * (1.0 - kappa),
-        }
+        def backward(g):
+            d_pre = (g * rate * sig * (1.0 - sig)).reshape(L, 1)
+            return (d_pre @ theta_col.T, (x.T @ d_pre).reshape(theta.shape),
+                    np.reshape(np.sum(g), delta.shape) * kappa,
+                    np.reshape(np.sum(g * sig), delta.shape) * (1.0 - kappa))
 
-    grads = ad.shared_grads(backward)
-    return ad.custom_op("interval_map", sig * rate + delta * kappa, [
-        (x_t, lambda g: grads(g)["x"]),
-        (theta_delta_t, lambda g: grads(g)["theta"]),
-        (delta_t, lambda g: grads(g)["floor"]),
-        (delta_t, lambda g: grads(g)["rate"]),
-    ])
+        return sig * rate + delta * kappa, backward
+
+    return ad.fused_op("interval_map", forward, x_t, theta_delta_t, delta_t, delta_t)
 
 
 def compression_deltas(cfg: ResampleConfig, x: np.ndarray) -> np.ndarray:
@@ -372,47 +365,37 @@ def compress_tracked(
     """
     if plan.neighbors is None:
         raise ValueError("plan has no neighbor windows; use make_plan")
-    x, gamma, mus = x_t.data, theta_gamma_t.data, mus_t.data
-    if x.shape[0] != len(plan.src_times):
-        raise ValueError("sequence length does not match the plan")
-    src, dst = src_times_t.data, dst_times_t.data
     nbrs = plan.neighbors
     n_dst, window_k = nbrs.shape
-    width = x.shape[1]
-    # Each grid point's K blocks side by side: [n_dst, K, W + G], written once.
-    feats = np.empty((n_dst, window_k, width + mus.size))
-    feats[:, :, :width] = x[nbrs]
-    dk = dst[:, None] - src[nbrs]
-    diff = dk[:, :, None] - mus
-    feats[:, :, width:] = np.exp(-(diff * diff))
-    flat = feats.reshape(n_dst, -1)
 
-    def backward(g):
-        idx = nbrs.reshape(-1)
-        d_blocks = (g @ gamma.T).reshape(idx.size, -1)
-        d_x = ad.scatter_add(idx, d_blocks[:, :width], len(x))
-        # d exp(-diff^2) / d diff = -2 diff exp(-diff^2); diff is
-        # recomputed rather than kept alive between the passes.
-        eps = feats.reshape(idx.size, -1)[:, width:]
-        d_diff = d_blocks[:, width:] * eps * (dk.reshape(-1, 1) - mus) * -2.0
-        d_dk = d_diff.sum(axis=1)
-        d_src = ad.scatter_add(idx, -d_dk, len(src))
-        return {
-            "x": d_x,
-            "gamma": flat.T @ g,
-            "mus": -d_diff.sum(axis=0),
-            "src": d_src,
-            "dst": d_dk.reshape(n_dst, window_k).sum(axis=1),
-        }
+    def forward(x, gamma, mus, src, dst):
+        if x.shape[0] != len(plan.src_times):
+            raise ValueError("sequence length does not match the plan")
+        width = x.shape[1]
+        # Each grid point's K blocks side by side: [n_dst, K, W + G], written once.
+        feats = np.empty((n_dst, window_k, width + mus.size))
+        feats[:, :, :width] = x[nbrs]
+        dk = dst[:, None] - src[nbrs]
+        diff = dk[:, :, None] - mus
+        feats[:, :, width:] = np.exp(-(diff * diff))
+        flat = feats.reshape(n_dst, -1)
 
-    grads = ad.shared_grads(backward)
-    return ad.custom_op("compress", flat @ gamma, [
-        (x_t, lambda g: grads(g)["x"]),
-        (theta_gamma_t, lambda g: grads(g)["gamma"]),
-        (mus_t, lambda g: grads(g)["mus"]),
-        (src_times_t, lambda g: grads(g)["src"]),
-        (dst_times_t, lambda g: grads(g)["dst"]),
-    ])
+        def backward(g):
+            idx = nbrs.reshape(-1)
+            d_blocks = (g @ gamma.T).reshape(idx.size, -1)
+            d_x = ad.scatter_add(idx, d_blocks[:, :width], len(x))
+            # d exp(-diff^2) / d diff = -2 diff exp(-diff^2); diff is
+            # recomputed rather than kept alive between the passes.
+            eps = feats.reshape(idx.size, -1)[:, width:]
+            d_diff = d_blocks[:, width:] * eps * (dk.reshape(-1, 1) - mus) * -2.0
+            d_dk = d_diff.sum(axis=1)
+            d_src = ad.scatter_add(idx, -d_dk, len(src))
+            return (d_x, flat.T @ g, -d_diff.sum(axis=0), d_src,
+                    d_dk.reshape(n_dst, window_k).sum(axis=1))
+
+        return flat @ gamma, backward
+
+    return ad.fused_op("compress", forward, x_t, theta_gamma_t, mus_t, src_times_t, dst_times_t)
 
 
 def decompress_tracked(y_bar_t: ad.Tensor, plan: ResamplePlan) -> ad.Tensor:

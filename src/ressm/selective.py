@@ -157,7 +157,7 @@ def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
     db = d_scaled_b * deltas[:, None]
     dd = np.einsum("tn,tn->t", d_scaled_b, b_seq) + dz @ a.reshape(-1)
     da = (deltas @ dz).reshape(a.shape)
-    return {"a": da, "deltas": dd, "b_seq": db, "c_seq": dc, "u": du}
+    return da, dd, db, dc, du
 
 
 def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
@@ -183,47 +183,25 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
     terms under 1.5e-154 times the state they carry; y agrees with the
     step-by-step recurrence to rounding.
     """
-    a_t = a_diag if isinstance(a_diag, ad.Tensor) else ad.constant(a_diag)
-    d_t = deltas if isinstance(deltas, ad.Tensor) else ad.constant(deltas)
-    b_t = b_seq if isinstance(b_seq, ad.Tensor) else ad.constant(b_seq)
-    c_t = c_seq if isinstance(c_seq, ad.Tensor) else ad.constant(c_seq)
-    u_t = u if isinstance(u, ad.Tensor) else ad.constant(u)
+    def forward(a, d, b, c, uu):
+        if uu.ndim != 2:
+            raise ad.ShapeError(f"u must be [T, W], got {uu.shape}")
+        T, W = uu.shape
+        if T == 0:
+            raise ad.ShapeError("scan over an empty sequence")
+        if a.shape[0] != W or a.ndim != 2:
+            raise ad.ShapeError(f"a_diag must be [W={W}, N], got {a.shape}")
+        N = a.shape[1]
+        if d.shape != (T,) or b.shape != (T, N) or c.shape != (T, N):
+            raise ad.ShapeError("scan operand shapes disagree")
+        if np.any(d < 0):
+            raise ValueError("scan intervals must be non-negative")
+        bounds = ad.segments(starts, T)
+        rows = [lo for lo, _ in bounds]
+        longest = max(hi - lo for lo, hi in bounds)
 
-    a = a_t.data
-    d = d_t.data
-    b = b_t.data
-    c = c_t.data
-    uu = u_t.data
-    if uu.ndim != 2:
-        raise ad.ShapeError(f"u must be [T, W], got {uu.shape}")
-    T, W = uu.shape
-    if T == 0:
-        raise ad.ShapeError("scan over an empty sequence")
-    if a.shape[0] != W or a.ndim != 2:
-        raise ad.ShapeError(f"a_diag must be [W={W}, N], got {a.shape}")
-    N = a.shape[1]
-    if d.shape != (T,) or b.shape != (T, N) or c.shape != (T, N):
-        raise ad.ShapeError("scan operand shapes disagree")
-    if np.any(d < 0):
-        raise ValueError("scan intervals must be non-negative")
-    bounds = ad.segments(starts, T)
-    rows = [lo for lo, _ in bounds]
-    longest = max(hi - lo for lo, hi in bounds)
+        with np.errstate(all="ignore"):  # non-finite results surface via custom_op
+            ys, saved = _scan_forward(a, d, b, c, uu, rows, longest)
+        return ys, lambda g: _scan_backward(g, a, d, b, c, uu, rows, longest, saved)
 
-    with np.errstate(all="ignore"):  # non-finite results surface via custom_op
-        ys, saved = _scan_forward(a, d, b, c, uu, rows, longest)
-
-    grads = ad.shared_grads(
-        lambda g: _scan_backward(g, a, d, b, c, uu, rows, longest, saved))
-    return ad.custom_op(
-        "ssm_scan",
-        ys,
-        [
-            (a_t, lambda g: grads(g)["a"]),
-            (d_t, lambda g: grads(g)["deltas"]),
-            (b_t, lambda g: grads(g)["b_seq"]),
-            (c_t, lambda g: grads(g)["c_seq"]),
-            (u_t, lambda g: grads(g)["u"]),
-        ],
-    )
-
+    return ad.fused_op("ssm_scan", forward, a_diag, deltas, b_seq, c_seq, u)

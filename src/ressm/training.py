@@ -72,6 +72,15 @@ class TrainConfig:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.scheduler not in ("cosine", "plateau", "none"):
             raise ValueError(f"scheduler must be cosine, plateau or none, got '{self.scheduler}'")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
+        if self.clip_norm < 0:
+            raise ValueError(f"clip_norm must be non-negative (0 turns clipping off), "
+                             f"got {self.clip_norm}")
+        if not (0.0 < self.plateau_factor <= 1.0):
+            raise ValueError(f"plateau_factor must lie in (0, 1], got {self.plateau_factor}")
+        if self.plateau_patience < 1:
+            raise ValueError(f"plateau_patience must be at least 1, got {self.plateau_patience}")
 
 
 def adamw_step(params: dict, grads: dict, cfg: TrainConfig, state: dict,
@@ -158,19 +167,15 @@ def evaluate(model: ResampleNetwork, dataset) -> EvalMetrics:
 
     The examples are scored in groups split as in training, with no
     two-sequence floor since eval-mode batchnorm reads its running
-    buffers: one ``predict`` per group on the ``Packed`` sequences, or
-    on the tokens alone for a group of one.  Loss and hits are taken
-    per example from its logits row.
+    buffers: one ``predict`` per group on the ``Packed`` sequences.
+    Loss and hits are taken per example from its logits row.
     """
     if len(dataset) == 0:
         raise ValueError("cannot evaluate an empty dataset")
     losses = []
     hits1 = hits5 = 0
     for group in _groups(dataset, floor=1):
-        if len(group) == 1:
-            rows = [model.predict(group[0].tokens)]
-        else:
-            rows = model.predict(Packed.of([item.tokens for item in group]))
+        rows = model.predict(Packed.of([item.tokens for item in group]))
         for logits, item in zip(rows, group):
             losses.append(ad.cross_entropy(ad.constant(logits), item.label).item())
             hits1 += _topk_hit(logits, item.label, 1)

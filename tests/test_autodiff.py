@@ -389,6 +389,72 @@ class TestTapeBackward:
         assert z.node_id == len(tape.nodes) - 1
 
 
+class TestFusedOp:
+    @staticmethod
+    def product(calls):
+        """forward of a * b * c, counting its backward's runs."""
+        def forward(a, b, c):
+            def backward(g):
+                calls.append(g)
+                return g * b * c, g * a * c, g * a * b
+            return a * b * c, backward
+        return forward
+
+    def test_one_backward_per_upstream_gradient(self):
+        calls = []
+        tape = ad.Tape()
+        leaves = [tape.leaf(v) for v in ([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])]
+        out = ad.fused_op("product", self.product(calls), *leaves)
+        assert len(tape.nodes) == 4
+        tape.backward(ad.reduce_sum(out))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(tape.grad(leaves[0]), [15.0, 24.0])
+        # After reset a new root brings a new gradient, and a new run.
+        root = ad.reduce_sum(ad.mul(out, 2.0))
+        tape.reset()
+        tape.backward(root)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(tape.grad(leaves[1]), [10.0, 24.0])
+        np.testing.assert_array_equal(tape.grad(leaves[2]), [6.0, 16.0])
+
+    def test_untracked_operands_skipped(self):
+        calls = []
+        tape = ad.Tape()
+        x = tape.leaf([1.0, 2.0])
+        out = ad.fused_op("product", self.product(calls), ad.constant([3.0, 4.0]), x,
+                          np.array([5.0, 6.0]))
+        assert tape.nodes[out.node_id].parents == (x.node_id,)
+        tape.backward(ad.reduce_sum(out))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(tape.grad(x), [15.0, 24.0])
+        # With nothing tracked the result is a constant.
+        out = ad.fused_op("product", self.product(calls), 1.0, 2.0, 3.0)
+        assert out.tape is None and out.item() == 6.0
+
+    def test_operand_listed_twice_gets_both_gradients_in_order(self):
+        def forward(a, b):
+            return a * b, lambda g: (g * 2.0, g * 3.0)
+
+        tape = ad.Tape()
+        x = tape.leaf(1.5)
+        out = ad.fused_op("twice", forward, x, x)
+        node = tape.nodes[out.node_id]
+        assert node.parents == (x.node_id, x.node_id)
+        assert [float(g) for g in node.vjp(np.array(1.0))] == [2.0, 3.0]
+        tape.backward(out)
+        assert tape.grad(x) == 5.0
+
+    def test_forward_errors_propagate(self):
+        def forward(a):
+            raise ad.ShapeError("bad operand")
+
+        tape = ad.Tape()
+        x = tape.leaf([1.0])
+        with pytest.raises(ad.ShapeError, match="bad operand"):
+            ad.fused_op("fails", forward, x)
+        assert len(tape.nodes) == 1
+
+
 class TestGradCheck:
     def test_sum_is_exact(self):
         # Power-of-two step keeps every probe exactly representable, so the

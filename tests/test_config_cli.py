@@ -193,6 +193,17 @@ class TestTrainEvalCommands:
         ("task.n_val=0", "task.n_val"),
         ("train.batch_size=0", "train.batch_size"),
         ("train.scheduler=step", "train.scheduler"),
+        ("train.lr=nan", "train.lr"),
+        ("train.lr=inf", "train.lr"),
+        ("train.clip_norm=nan", "train.clip_norm"),
+        ("train.clip_norm=-1", "train.clip_norm"),
+        ("train.weight_decay=-0.01", "train.weight_decay"),
+        ("train.weight_decay=nan", "train.weight_decay"),
+        ("train.plateau_factor=-1", "train.plateau_factor"),
+        ("train.plateau_factor=0", "train.plateau_factor"),
+        ("train.plateau_factor=1.5", "train.plateau_factor"),
+        ("train.plateau_patience=0", "train.plateau_patience"),
+        ("model.branches=base,nan", "model.branches"),
     ])
     def test_bad_setting_rejected_before_output(self, tmp_path, capsys, setting, field):
         out = tmp_path / "run"
@@ -390,6 +401,9 @@ class TestDumpKernel:
         ("kernel.a_diag=1.0", "kernel.a_diag"),
         ("kernel.b=1,2", "kernel.a_diag, b, c"),
         ("kernel.delta=-1", "kernel.delta"),
+        ("kernel.delta=nan", "kernel.delta"),
+        ("kernel.delta=inf", "kernel.delta"),
+        ("kernel.c=1,-inf", "kernel.c"),
         ("kernel.length=0", "kernel.length"),
     ])
     def test_bad_setting_rejected_before_output(self, tmp_path, capsys, setting, field):
@@ -458,6 +472,8 @@ class TestCompressTrace:
         ("resample.window_k=-1", "resample.window_k"),
         ("resample.kappa=0", "resample.kappa"),
         ("resample.delta_base=0", "resample.delta_base"),
+        ("resample.delta_base=nan", "resample.delta_base"),
+        ("resample.delta_base=inf", "resample.delta_base"),
     ])
     def test_bad_setting_rejected_before_output(self, tmp_path, capsys, setting, field):
         path, _ = self.write_input(tmp_path)

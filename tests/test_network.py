@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from test_resample import assert_fresh_after_reset
 
 from ressm import autodiff as ad
 from ressm import checkpoint as ckpt
@@ -56,6 +57,18 @@ class TestNorms:
             lambda t: ad.reduce_sum(ad.mul(net.rmsnorm(x, t), w)), r.normal(size=4)
         )
         assert err < 1e-4
+
+    def test_rmsnorm_backward_after_reset(self):
+        r = np.random.default_rng(5)
+        assert_fresh_after_reset(net.rmsnorm, [r.normal(size=(4, 3)), r.normal(size=3)], r)
+
+    @pytest.mark.parametrize("train", [True, False])
+    def test_batchnorm_backward_after_reset(self, train):
+        r = np.random.default_rng(6)
+        running = [r.uniform(-0.5, 0.5, size=3), r.uniform(0.5, 1.5, size=3)]
+        assert_fresh_after_reset(
+            lambda x, g, b: net.batchnorm(x, g, b, *running, train=train),
+            [r.normal(size=(5, 3)), r.normal(size=3), r.normal(size=3)], r)
 
     def test_batchnorm_eval_unit_stats_is_identity(self):
         r = np.random.default_rng(2)

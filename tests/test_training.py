@@ -205,15 +205,15 @@ class TestEvaluate:
         training.evaluate(model, val)
         assert [len(x.starts) for x in calls] == [2, 2, 2, 2]
 
-        # A sequence of MAX_TAPE_ROWS rows fills its group alone, and runs
-        # on its plain tokens.
+        # A sequence of MAX_TAPE_ROWS rows fills its group alone: one
+        # Packed group of one sequence per call.
         calls.clear()
         monkeypatch.setattr(training, "MAX_TAPE_ROWS", 24)
         training.evaluate(model, val)
         assert len(calls) == len(val)
         for x, item in zip(calls, val):
-            assert not isinstance(x, net.Packed)
-            assert x is item.tokens
+            assert isinstance(x, net.Packed) and x.starts == (0,)
+            np.testing.assert_array_equal(x.rows, item.tokens)
 
 
 class TestTrainLoop:
