@@ -49,8 +49,12 @@ def main():
 
     task = SparseSignalTask(seq_len=256, n_informative=4, n_classes=4, noise_vocab=8,
                             n_train=128, n_val=64, seed=args.seed + 1)
-    cfg = TrainConfig(lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
-                      batch_size=16, scheduler="cosine", seed=args.seed + 2)
+    try:
+        BranchSpec(kappa=args.kappa)  # rejects a bad --kappa before any training
+        cfg = TrainConfig(lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
+                          batch_size=16, scheduler="cosine", seed=args.seed + 2)
+    except ValueError as e:
+        ap.error(str(e))
 
     compressed, wall_c = run(task, cfg, args.kappa, args.seed)
     ablated, wall_a = run(task, cfg, 1.0, args.seed)

@@ -276,18 +276,25 @@ def fused_op(kind: str, forward, *operands) -> Tensor:
     after ``Tape.reset()``, since a new backward brings a new gradient.
     Operands that are not tensors are constants; untracked operands get
     no gradient, and one listed twice gets both its gradients, in order.
-    The scan, normalisation and resampler ops are written this way.
+    The scan, fixed-step convolution, normalisation and resampler ops
+    are written this way.
     """
     tensors = [_lift(x) for x in operands]
     value, backward = forward(*(t.data for t in tensors))
+    # custom_op asks for the tracked operands' gradients one by one, in
+    # order; the tuple lives from the first ask to the last.
+    tracked = [i for i, t in enumerate(tensors) if t.node_id is not None]
     memo = [None, None]
 
-    def grads(g):
+    def grad(g, i):
         if memo[0] is not g:
             memo[0], memo[1] = g, backward(g)
-        return memo[1]
+        out = memo[1][i]
+        if i == tracked[-1]:
+            memo[0] = memo[1] = None
+        return out
 
-    return custom_op(kind, value, [(t, lambda g, i=i: grads(g)[i]) for i, t in enumerate(tensors)])
+    return custom_op(kind, value, [(t, lambda g, i=i: grad(g, i)) for i, t in enumerate(tensors)])
 
 
 def _scalar_like(t: Tensor) -> bool:

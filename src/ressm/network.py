@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import resample as rs
-from .selective import ssm_scan
+from .selective import fixed_step_conv, ssm_scan
 from .ssm import diag_init
 
 __all__ = [
@@ -455,20 +455,17 @@ class ResampleNetwork:
         return rs.decompress_tracked(yc, plan)
 
     def _ssm_layer(self, pre, br: BranchSpec, width, u_t, bind, starts):
+        if not br.selective:
+            return fixed_step_conv(bind(pre + "ssm.rho"), bind(pre + "ssm.raw_delta"),
+                                   bind(pre + "ssm.b"), bind(pre + "ssm.c"), u_t, starts=starts)
         T = u_t.shape[0]
         a = ad.neg(ad.exp(bind(pre + "ssm.rho")))
-        if br.selective:
-            b_seq = ad.matmul(u_t, bind(pre + "ssm.theta_b"))
-            c_seq = ad.matmul(u_t, bind(pre + "ssm.theta_c"))
-            pre_act = ad.reshape(
-                ad.matmul(u_t, ad.reshape(bind(pre + "ssm.theta_delta"), (width, 1))), (T,)
-            )
-            deltas = ad.softplus(ad.add(pre_act, bind(pre + "ssm.delta_base")))
-        else:
-            delta = ad.softplus(bind(pre + "ssm.raw_delta"))
-            deltas = ad.mul(ad.constant(np.ones(T)), delta)
-            b_seq = ad.tile_rows(bind(pre + "ssm.b"), T)
-            c_seq = ad.tile_rows(bind(pre + "ssm.c"), T)
+        b_seq = ad.matmul(u_t, bind(pre + "ssm.theta_b"))
+        c_seq = ad.matmul(u_t, bind(pre + "ssm.theta_c"))
+        pre_act = ad.reshape(
+            ad.matmul(u_t, ad.reshape(bind(pre + "ssm.theta_delta"), (width, 1))), (T,)
+        )
+        deltas = ad.softplus(ad.add(pre_act, bind(pre + "ssm.delta_base")))
         return ssm_scan(a, deltas, b_seq, c_seq, u_t, starts=starts)
 
     def _head(self, t, bind, starts):

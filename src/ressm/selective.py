@@ -1,4 +1,5 @@
-"""The fused selective scan op.
+"""The fused SSM layer ops: the selective scan and the fixed-step
+convolution.
 
 ``ssm_scan`` runs the recurrence of a bank of diagonal SSMs whose input
 map, output map and time interval vary per step, as one tape node with
@@ -24,6 +25,13 @@ elementwise, or a product with a 0/1 selector that spreads a
 per-channel or per-state factor across its block or sums a block
 (``_selectors``).  The forward saves phi(z) and the states; the
 backward recomputes z and e^z and takes phi'(z) = (e^z - phi(z)) / z.
+
+``fixed_step_conv`` is the layer whose interval, input map and output
+map do not vary with t.  Unrolled, such a recurrence is a causal
+convolution with its impulse response, which S4 and S4D compute by FFT
+(Gu et al. 2021, arXiv:2111.00396; Gu et al. 2022, arXiv:2206.11893);
+so it takes the layer's own weights and runs as one node of
+O(T log T) work with no scan at all.
 """
 
 from __future__ import annotations
@@ -36,12 +44,13 @@ import numpy as np
 from . import autodiff as ad
 from .ssm import phi, phi_prime
 
-__all__ = ["ssm_scan"]
+__all__ = ["ssm_scan", "fixed_step_conv"]
 
 # Decays below this are flushed to exact zero.  A product of two
 # unflushed decays is then at least float64's smallest normal, so the
 # doubling passes never touch subnormals, which are slow on most CPUs.
 _DECAY_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
+_LOG_DECAY_FLOOR = math.log(_DECAY_FLOOR)
 
 
 def _linear_scan(decay, drive, spare, longest, reverse=False):
@@ -205,3 +214,95 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
         return ys, lambda g: _scan_backward(g, a, d, b, c, uu, rows, longest, saved)
 
     return ad.fused_op("ssm_scan", forward, a_diag, deltas, b_seq, c_seq, u)
+
+
+def _fft_length(m):
+    """The least 2^i, 3 * 2^i, 9 * 2^i or 27 * 2^i at or above m: an FFT
+    length of small factors, less than 4/3 of m (the next power of two
+    can be 2m)."""
+    return min(p << ((m - 1) // p).bit_length() for p in (1, 3, 9, 27))
+
+
+def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
+    """The fixed-step layer: W diagonal systems with one interval and one
+    input and output map for every step, from their weights.
+
+    Shapes: rho [W, N], raw_delta a scalar, b and c [N], u [T, W].
+    Returns y [T, W].  With a = -exp(rho), delta = softplus(raw_delta)
+    and z = delta * a, it is ``ssm_scan`` on a, delta at every step and
+    b and c at every row: h_t = e^z h_{t-1} + phi(z) delta b u_t and
+    y_t = c . h_t, from a zero state at each of ``starts`` (see
+    ``autodiff.segments``).  Unrolled, that is the causal convolution of
+    each segment of u with K[w, j] = sum_n phi(z) delta b_n c_n e^{jz}.
+    Powers under ~1.5e-154, the scan's decay floor, are exact zeros, and
+    np.exp runs only on the rest, so K ends where the slowest mode's
+    powers reach the floor, or at the longest segment.  Each segment,
+    zero-padded far enough that nothing wraps round, is convolved with
+    K by real FFT.  The backward correlates dy with K for du and with u,
+    summed over segments, for dK, and chains dK through the powers and
+    phi'(z) to the four weights.  One tape node; y agrees with the scan
+    to rounding.
+    """
+    def forward(rh, rd, bv, cv, uu):
+        if uu.ndim != 2 or uu.shape[0] == 0:
+            raise ad.ShapeError(f"u must be a non-empty [T, W], got {uu.shape}")
+        T, W = uu.shape
+        if rh.ndim != 2 or rh.shape[0] != W:
+            raise ad.ShapeError(f"rho must be [W={W}, N], got {rh.shape}")
+        N = rh.shape[1]
+        if rd.size != 1 or bv.shape != (N,) or cv.shape != (N,):
+            raise ad.ShapeError("fixed-step operand shapes disagree")
+        bounds = ad.segments(starts, T)
+        L = max(hi - lo for lo, hi in bounds)
+
+        def spread(x):  # [T, W] rows -> [S, W, L], each segment zero-padded
+            out = np.zeros((len(bounds), W, L))
+            for s, (lo, hi) in enumerate(bounds):
+                out[s, :, : hi - lo] = x[lo:hi].T
+            return out
+
+        def gather(x):  # back to [T, W]
+            return np.concatenate([x[s, :, : hi - lo].T for s, (lo, hi) in enumerate(bounds)])
+
+        with np.errstate(all="ignore"):  # non-finite results surface via custom_op
+            a = -np.exp(rh.reshape(-1))
+            if not np.isfinite(a).all():
+                raise ad.NonFiniteError("non-finite result in op 'fixed_step_conv'")
+            delta = float(ad._softplus(rd.reshape(())))
+            z = delta * a
+            phis = phi(z)
+            bc = np.tile(bv * cv, W)
+            coef = phis * delta * bc
+            # K ends where the slowest mode's powers reach the floor.
+            z_max = z.max()
+            span = min(L, int(_LOG_DECAY_FLOOR / z_max) + 2) if z_max < 0 else L
+            js = np.arange(span, dtype=np.float64)
+            powers = np.multiply.outer(z, js)  # [W*N, span]: jz, then e^{jz}
+            live = powers >= _LOG_DECAY_FLOOR
+            np.exp(powers, out=powers, where=live)
+            powers *= live
+            by_w, _ = _selectors(W, N)
+            n = _fft_length(L + span - 1)  # nothing wraps round
+            kf = np.fft.rfft((by_w * coef) @ powers, n)  # [W, n//2 + 1]
+            uf = np.fft.rfft(spread(uu), n)
+            ys = gather(np.fft.irfft(uf * kf, n))
+
+        def backward(dy):
+            dyf = np.fft.rfft(spread(dy), n)
+            du = gather(np.fft.irfft(dyf * kf.conj(), n))
+            dk = np.fft.irfft(np.einsum("swf,swf->wf", dyf, uf.conj()), n)[:, :span]
+            # K[w, j] = sum_n coef e^{jz}: through the powers, dz takes
+            # j e^{jz}; through coef = phi(z) delta b c, phi'(z).
+            m = (by_w.T @ dk) * powers
+            dcoef = m.sum(axis=1)
+            dz = (m @ js) * coef
+            dz += dcoef * phi_prime(z, phis) * delta * bc
+            dbc = dcoef * phis  # d(delta b c)
+            d_delta = dbc @ bc + dz @ a
+            dbc = (dbc * delta).reshape(W, N).sum(axis=0)
+            return ((dz * z).reshape(W, N), d_delta * ad._sigmoid(rd.reshape(1))[0],
+                    dbc * cv, dbc * bv, du)
+
+        return ys, backward
+
+    return ad.fused_op("fixed_step_conv", forward, rho, raw_delta, b, c, u)

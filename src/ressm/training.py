@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -64,6 +64,10 @@ class TrainConfig:
     def __post_init__(self):
         # Each message starts with the field name, which the CLI prefixes
         # with "train." to name the config key.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.lr < 0:
             raise ValueError(f"lr must be non-negative, got {self.lr}")
         if self.batch_size < 1:

@@ -6,6 +6,7 @@ which never touches the analytic rules it is checking).
 """
 
 import math
+import weakref
 import zlib
 
 import mpmath
@@ -416,6 +417,35 @@ class TestFusedOp:
         assert len(calls) == 2
         np.testing.assert_array_equal(tape.grad(leaves[1]), [10.0, 24.0])
         np.testing.assert_array_equal(tape.grad(leaves[2]), [6.0, 16.0])
+
+    def test_gradients_dropped_once_read_and_rerun_after_reset(self):
+        # Each operand also gets a gradient by a second path, so the tape
+        # keeps only sums: once the node has handed its gradients out,
+        # nothing else holds the arrays backward returned.
+        returned = []
+
+        def forward(a, b):
+            def backward(g):
+                grads = (g * b, g * a)
+                returned.extend(weakref.ref(x) for x in grads)
+                return grads
+            return a * b, backward
+
+        tape = ad.Tape()
+        a, b = tape.leaf([1.0, 2.0]), tape.leaf([3.0, 4.0])
+        out = ad.fused_op("product", forward, a, b)
+        both = ad.reduce_sum(ad.add(a, b))
+        tape.backward(ad.add(ad.reduce_sum(out), both))
+        assert len(returned) == 2 and all(ref() is None for ref in returned)
+        np.testing.assert_array_equal(tape.grad(a), [4.0, 5.0])
+        # After reset a new root reruns backward, and that run's arrays
+        # are dropped as well.
+        root = ad.add(ad.reduce_sum(ad.mul(out, 2.0)), both)
+        tape.reset()
+        tape.backward(root)
+        assert len(returned) == 4 and all(ref() is None for ref in returned)
+        np.testing.assert_array_equal(tape.grad(a), [7.0, 9.0])
+        np.testing.assert_array_equal(tape.grad(b), [3.0, 5.0])
 
     def test_untracked_operands_skipped(self):
         calls = []

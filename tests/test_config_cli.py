@@ -196,9 +196,12 @@ class TestTrainEvalCommands:
         ("train.lr=nan", "train.lr"),
         ("train.lr=inf", "train.lr"),
         ("train.clip_norm=nan", "train.clip_norm"),
+        ("train.clip_norm=inf", "train.clip_norm"),
         ("train.clip_norm=-1", "train.clip_norm"),
         ("train.weight_decay=-0.01", "train.weight_decay"),
         ("train.weight_decay=nan", "train.weight_decay"),
+        ("train.weight_decay=inf", "train.weight_decay"),
+        ("train.plateau_factor=nan", "train.plateau_factor"),
         ("train.plateau_factor=-1", "train.plateau_factor"),
         ("train.plateau_factor=0", "train.plateau_factor"),
         ("train.plateau_factor=1.5", "train.plateau_factor"),

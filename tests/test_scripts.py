@@ -23,3 +23,16 @@ def test_script_prints_its_table(script, args, table_header, summary):
     header = next(i for i, ln in enumerate(lines) if table_header in ln)
     assert lines[header + 1].split()[0] == "0"  # first row: instance or epoch 0
     assert summary in proc.stdout
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--lr", "nan"], "lr"),
+    (["--weight-decay", "inf"], "weight_decay"),
+    (["--kappa", "nan"], "kappa"),
+])
+def test_ablation_rejects_bad_setting_before_training(args, field):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "compression_ablation.py"),
+                           *args], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert f"error: {field} " in proc.stderr

@@ -1,4 +1,5 @@
-"""Tests for the network's selective layer and the fused scan op."""
+"""Tests for the network's SSM layers: the fused selective scan op and
+the fixed-step convolution op."""
 
 import math
 import zlib
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_resample import assert_fresh_after_reset
+from test_resample import assert_close_relative, assert_fresh_after_reset, grads_through
 
 from ressm import autodiff as ad
 from ressm import network as net
@@ -499,3 +500,117 @@ class TestSelectiveScan:
             want = np.logaddexp(0.0, p["delta_base"] + x[l] @ p["theta_delta"])  # softplus
             assert seen["deltas"][l] == pytest.approx(want, rel=1e-12)
             assert seen["deltas"][l] > 0
+
+
+def composed_fixed_step(rho_t, raw_delta_t, b_t, c_t, u_t, starts=(0,)):
+    """The fixed-step layer as the selective scan on operands tiled over
+    the rows, from primitive tape ops: the oracle ``fixed_step_conv`` is
+    held to."""
+    T = u_t.shape[0]
+    a = ad.neg(ad.exp(rho_t))
+    deltas = ad.mul(ad.constant(np.ones(T)), ad.softplus(raw_delta_t))
+    return selective.ssm_scan(a, deltas, ad.tile_rows(b_t, T), ad.tile_rows(c_t, T), u_t,
+                              starts=starts)
+
+
+def _fixed_step_operands(r, T, W, N):
+    return [0.5 * r.normal(size=(W, N)), np.array(r.normal()), r.normal(size=N),
+            r.normal(size=N), r.normal(size=(T, W))]
+
+
+_FIXED_STEP_NAMES = ["rho", "raw_delta", "b", "c", "u"]
+
+
+class TestFixedStepConv:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.one_of(
+            st.just([1]),
+            st.lists(st.sampled_from(_EDGE_LENGTHS), min_size=1, max_size=3),
+            st.lists(st.integers(1, 70), min_size=2, max_size=6),  # unequal, packed
+        ),
+        W=st.integers(1, 3),
+        N=st.integers(1, 4),
+        fast=st.sampled_from(["none", "one", "all"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_composed_scan(self, lengths, W, N, fast, seed):
+        r = np.random.default_rng(seed)
+        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        ops = _fixed_step_operands(r, sum(lengths), W, N)
+        if fast != "none":
+            # delta |a| of 20 to 200 per step: powers fall under the flush
+            # floor within 2 to 18 steps, for one mode or (the kernel then
+            # shorter than the segments) for every mode.
+            ops[0][(0, 0) if fast == "one" else ...] += 4.0 + np.log(r.uniform(0.5, 2.0))
+            ops[1] = np.array(r.uniform(0.0, 1.0))
+        want = composed_fixed_step(*ops, starts=starts).numpy()
+        assert_close_relative(selective.fixed_step_conv(*ops, starts=starts).numpy(), want)
+        if fast == "none":
+            # With a fast mode, the interval's gradient is mostly a
+            # cancellation, phi(z) delta tending to 1 / |a|, so it is
+            # held to finite differences below instead.
+            weight = r.normal(size=want.shape)
+            _, got = grads_through(lambda *t: selective.fixed_step_conv(*t, starts=starts),
+                                   ops, weight)
+            _, ref = grads_through(lambda *t: composed_fixed_step(*t, starts=starts),
+                                   ops, weight)
+            for g, w in zip(got, ref):
+                assert_close_relative(g, w, rtol=1e-10)
+
+    def test_one_sequence_of_one_row(self):
+        r = np.random.default_rng(60)
+        ops = _fixed_step_operands(r, 1, 2, 3)
+        y = selective.fixed_step_conv(*ops).numpy()
+        delta = math.log1p(math.exp(float(ops[1])))
+        z = -delta * np.exp(ops[0])
+        want = (ssm.phi(z) * delta * ops[2] * ops[3]).sum(axis=1) * ops[4][0]
+        np.testing.assert_allclose(y[0], want, rtol=1e-14)
+
+    @pytest.mark.parametrize("which", range(5), ids=_FIXED_STEP_NAMES)
+    @pytest.mark.parametrize("fast", [False, True], ids=["no_flush", "flush"])
+    def test_gradients_vs_finite_differences(self, which, fast):
+        # Segments of 5, 1, 9 and 4 rows.  The fast case adds a mode at
+        # a = -e^4.5 whose powers flush within a few steps; the other
+        # channel decays slowly, so every weight keeps a gradient central
+        # differences resolve.
+        r = np.random.default_rng(zlib.crc32(_FIXED_STEP_NAMES[which].encode()) + fast)
+        T, W, N = 19, 2, 3
+        starts = (0, 5, 6, 15)
+        base = _fixed_step_operands(r, T, W, N)
+        if fast:
+            base[0][0] = [4.5, 4.0, 0.0]
+        weight = r.normal(size=(T, W))
+
+        def f(t):
+            args = list(base)
+            args[which] = t
+            y = selective.fixed_step_conv(*args, starts=starts)
+            return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
+
+        assert ad.grad_check(f, base[which]) < 1e-4
+
+    def test_backward_after_reset(self):
+        r = np.random.default_rng(61)
+        assert_fresh_after_reset(lambda *t: selective.fixed_step_conv(*t, starts=(0, 4)),
+                                 _fixed_step_operands(r, 9, 2, 3), r)
+
+    def test_no_state_or_gradient_crosses_a_start(self):
+        r = np.random.default_rng(62)
+        ops = _fixed_step_operands(r, 12, 2, 3)
+        tape = ad.Tape()
+        u = tape.leaf(ops[4])
+        y = selective.fixed_step_conv(*ops[:4], u, starts=(0, 7))
+        tape.backward(ad.reduce_sum(ad.slice_along(y, 0, 0, 7)))
+        assert np.all(tape.grad(u)[7:] == 0.0)
+        assert np.all(tape.grad(u)[:7] != 0.0)
+
+    def test_bad_operands_rejected(self):
+        r = np.random.default_rng(63)
+        rho, raw, b, c, u = _fixed_step_operands(r, 5, 2, 3)
+        for args in [(rho, raw, b, c, u[:, :1]), (rho, raw, b[:2], c, u),
+                     (rho, np.zeros(2), b, c, u), (rho, raw, b, c, u[:0])]:
+            with pytest.raises(ad.ShapeError):
+                selective.fixed_step_conv(*args)
+        with pytest.raises(ad.NonFiniteError):
+            selective.fixed_step_conv(np.full((2, 3), 800.0), raw, b, c, u)

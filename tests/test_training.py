@@ -288,6 +288,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="epochs"):
             training.TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", -1e-3),
+        ("lr", math.nan),
+        ("lr", math.inf),
+        ("weight_decay", -0.01),
+        ("weight_decay", math.nan),
+        ("weight_decay", math.inf),
+        ("clip_norm", -1.0),
+        ("clip_norm", math.nan),
+        ("clip_norm", math.inf),
+        ("plateau_factor", 0.0),
+        ("plateau_factor", math.nan),
+        ("plateau_factor", -math.inf),
+        ("batch_size", 0),
+        ("plateau_patience", 0),
+        ("scheduler", "step"),
+    ])
+    def test_bad_setting_rejected(self, field, value):
+        # Python callers, such as scripts passing argparse floats, get the
+        # same checks as the CLI, each message starting with the field.
+        with pytest.raises(ValueError, match=f"^{field} "):
+            training.TrainConfig(**{field: value})
+
     def test_final_val_is_the_last_val_row(self, monkeypatch):
         # Nothing changes the weights after the last epoch's validation
         # pass, so train() reports that pass instead of running another.
