@@ -17,6 +17,9 @@ Design constraints honoured throughout:
 
 from __future__ import annotations
 
+import ctypes
+import platform
+
 import numpy as np
 
 __all__ = [
@@ -59,6 +62,32 @@ __all__ = [
     "fused_op",
     "grad_check",
 ]
+
+# Every op writes fresh temporaries of a few hundred KB.  By default glibc
+# serves blocks that size by mmap, or trims them off the heap top once
+# freed, so each call faults its pages in again.  Raising both thresholds
+# to glibc's 64-bit mmap ceiling (which also turns off its dynamic mmap
+# threshold) keeps freed arrays in the heap for the next op; RSS then no
+# longer falls after a peak, but the peak itself is the same.  This is
+# process-wide allocator policy, set once on import, like numpy's own
+# hugepage madvise.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # from glibc's <malloc.h>
+_HEAP_KEEP_BYTES = 32 << 20
+
+
+def _keep_freed_memory() -> bool:
+    """Set glibc's mmap and trim thresholds.  Returns False off glibc,
+    where nothing is looked up, or when ``mallopt`` refuses a value."""
+    if platform.libc_ver()[0] != "glibc":
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all(mallopt(param, _HEAP_KEEP_BYTES) == 1
+               for param in (_M_MMAP_THRESHOLD, _M_TRIM_THRESHOLD))
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):

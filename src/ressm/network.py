@@ -55,6 +55,16 @@ def softplus_inv(y: float) -> float:
     return float(np.log(np.expm1(y)))
 
 
+def _require_ints(spec, names) -> None:
+    """Sizes come from code or from a checkpoint's JSON, where 4.0 and
+    true also parse; a float slices nothing and a bool is not a count.
+    None passes: whether an optional size must be set is checked apart."""
+    for name in names:
+        value = getattr(spec, name)
+        if value is not None and type(value) is not int:  # bool is a subclass of int
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass
 class BranchSpec:
     """One branch of a block.  kappa None means the base branch: no
@@ -71,6 +81,7 @@ class BranchSpec:
         # with "model." to name the config key.
         if self.kappa is not None and not (0.0 < self.kappa <= 1.0):
             raise ValueError(f"kappa must lie in (0, 1], got {self.kappa}")
+        _require_ints(self, ("n_state", "window_k", "basis_g"))
         for name in ("n_state", "window_k", "basis_g"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
@@ -109,6 +120,7 @@ class NetworkSpec:
     pooling: str = "mean"  # mean | last
 
     def __post_init__(self):
+        _require_ints(self, ("depth", "h_dim", "n_classes", "vocab_size", "input_dim"))
         if self.depth < 1:
             raise ValueError(f"depth must be at least 1, got {self.depth}")
         if self.h_dim < len(self.block.branches):

@@ -115,9 +115,9 @@ def _selectors(W, N):
 
 # Broadcasting a [T, W] or [T, N] factor over the short trailing axis of
 # [T, W, N] pays numpy's per-row loop overhead T*W or T*N times; spread
-# once by a selector, it is a plain [T, W*N] operand, reused.  Fresh
-# [T, W*N] arrays cost page faults as well as arithmetic, so passes write
-# into arrays whose last read is behind them where one is at hand.
+# once by a selector, it is a plain [T, W*N] operand, reused.  Passes
+# write into arrays whose last read is behind them where one is at hand:
+# fewer distinct [T, W*N] arrays mean fewer passes over memory.
 def _scan_forward(a, deltas, b_seq, c_seq, u, starts, longest):
     by_w, by_n = _selectors(*a.shape)
     z = np.multiply(deltas[:, None], a.reshape(1, -1))  # [T, W*N]

@@ -5,7 +5,13 @@ hand-worked arithmetic, and central finite differences (via grad_check,
 which never touches the analytic rules it is checking).
 """
 
+import ctypes
 import math
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import weakref
 import zlib
 
@@ -508,6 +514,47 @@ class TestGradCheck:
         # The downward probe lands exactly on the pole of 1/x.
         with pytest.raises(ad.NonFiniteError):
             ad.grad_check(lambda t: ad.reduce_sum(ad.recip(t)), np.array([1e-4]), h=1e-4)
+
+
+# The eval-L1024 benchmark model (criterion-8 layout at L = 1024), run twice
+# in a fresh process; prints the minor page faults of the second predict.
+_REPEAT_PREDICT = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from ressm import network as net
+    spec = net.NetworkSpec(
+        depth=2, h_dim=16,
+        block=net.BlockSpec(branches=[net.BranchSpec(kappa=None), net.BranchSpec(kappa=0.5)]),
+        n_classes=4, vocab_size=12)
+    model = net.ResampleNetwork(spec, seed=0)
+    tokens = np.random.default_rng(0).integers(0, 12, size=1024)
+    model.predict(tokens)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    model.predict(tokens)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc only")
+    def test_repeat_forward_faults_no_pages_in(self):
+        # A fresh process, so no earlier test has shaped the heap.  With
+        # glibc's default thresholds the second forward faults its
+        # temporaries in again, several hundred pages.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", _REPEAT_PREDICT], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) < 64
+
+    def test_off_glibc_mallopt_is_never_looked_up(self, monkeypatch):
+        def no_libc(*args, **kwargs):
+            raise AssertionError("libc looked up off glibc")
+
+        monkeypatch.setattr(platform, "libc_ver", lambda *args, **kwargs: ("", ""))
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert ad._keep_freed_memory() is False
 
 
 @settings(max_examples=40, deadline=None)

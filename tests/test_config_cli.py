@@ -320,6 +320,26 @@ class TestCheckpointValidation:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("value", [4.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("field", ["depth", "h_dim", "n_classes", "vocab_size", "input_dim",
+                                       "n_state", "window_k", "basis_g"])
+    def test_non_integer_size_is_usage_error_before_output(self, tmp_path, capsys,
+                                                          field, value):
+        # JSON reads 4.0 and true as well as 4.  Unchecked, a float size fails
+        # only in the forward ("slice indices must be integers"), and true
+        # reads as 1.
+        path = tmp_path / "bad_size.json"
+        doc = _small_checkpoint(path)
+        spec = doc["spec"]
+        (spec if field in spec else spec["block"]["branches"][1])[field] = value
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["eval", "--checkpoint", str(path), "--out", str(out)]) == 2
+        assert f"{field} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("task_edit, message", [
         ({"n_val": 0}, "n_val"),
         ({"bogus": 1}, "bogus"),
