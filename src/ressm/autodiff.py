@@ -50,6 +50,10 @@ __all__ = [
     "reduce_mean",
     "reduce_max",
     "segments",
+    "segment_lengths",
+    "segment_layout",
+    "padded",
+    "packed",
     "segment_mean",
     "cumsum",
     "gather_rows",
@@ -305,8 +309,8 @@ def fused_op(kind: str, forward, *operands) -> Tensor:
     after ``Tape.reset()``, since a new backward brings a new gradient.
     Operands that are not tensors are constants; untracked operands get
     no gradient, and one listed twice gets both its gradients, in order.
-    The scan, fixed-step convolution, normalisation and resampler ops
-    are written this way.
+    The scan, selective layer, fixed-step convolution, normalisation and
+    resampler ops are written this way.
     """
     tensors = [_lift(x) for x in operands]
     value, backward = forward(*(t.data for t in tensors))
@@ -604,41 +608,87 @@ def reduce(kind: str, a, axis=None) -> Tensor:
 
 def segments(starts, n: int) -> list[tuple[int, int]]:
     """(start, stop) of each segment of ``n`` rows packed end to end,
-    given the segments' start rows: the first is 0, each later one is
-    greater than the one before, and every segment is non-empty."""
-    bounds = list(zip(starts, [*starts[1:], n]))
-    if not bounds or starts[0] != 0 or not all(lo < hi for lo, hi in bounds):
+    given the segments' start rows (see ``segment_lengths``)."""
+    segment_lengths(starts, n)
+    return list(zip(starts, [*starts[1:], n]))
+
+
+def segment_lengths(starts, n: int) -> np.ndarray:
+    """Lengths [S] of the segments of ``n`` rows packed end to end, given
+    the segments' start rows: the first is 0, each later one is greater
+    than the one before, and every segment is non-empty."""
+    bounds = np.array([*starts, n], dtype=np.intp)
+    lengths = bounds[1:] - bounds[:-1]
+    if len(starts) == 0 or starts[0] != 0 or lengths.min() < 1:
         raise ShapeError(f"segment starts {list(starts)} do not split {n} rows")
-    return bounds
+    return lengths
+
+
+def segment_layout(starts, n: int):
+    """``segment_lengths``, and the [S, Lmax] mask of the padded layout
+    that puts segment s in row s, its rows first.  Boolean indexing runs
+    in row order, so ``padded[mask] = rows`` lays the packed rows out
+    and ``padded[mask]`` packs them back."""
+    lengths = segment_lengths(starts, n)
+    return lengths, np.arange(lengths.max()) < lengths[:, None]
+
+
+def padded(rows, mask, fill):
+    """``rows`` packed as ``mask`` says (``segment_layout``), laid out in
+    its padded layout with ``fill`` around them.  With no padding (every
+    segment as long as the longest) that is ``rows`` reshaped, a view."""
+    shape = mask.shape + rows.shape[1:]
+    if len(rows) == mask.size:
+        return rows.reshape(shape)
+    out = np.full(shape, fill)
+    out[mask] = rows
+    return out
+
+
+def packed(layout, mask):
+    """The rows of a padded ``layout`` (``padded``), packed end to end."""
+    if mask[:, -1].all():  # no padding
+        return layout.reshape((-1,) + layout.shape[2:])
+    return layout[mask]
 
 
 def segment_mean(a, starts) -> Tensor:
     """Mean over the rows of each segment of [R, ...]: one output row per
-    segment start (see ``segments``).  Each segment sums in the order
-    ``np.mean`` does, so a single segment gives ``reduce_mean``'s value
-    bit for bit (``np.add.reduceat`` sums in another order)."""
+    segment start (see ``segments``), all summed at once in the padded
+    layout (``segment_layout``) with -0.0 pads, which change no sum.
+    Rows of two or more entries are summed one after another, as
+    ``np.mean`` sums them, so each mean is the segment's own
+    ``reduce_mean``, bit for bit.  Rows of one entry numpy sums pairwise
+    in blocks set by the padded length: there a segment shorter than the
+    longest agrees with its own mean to rounding only."""
     a = _lift(a)
-    bounds = segments(starts, a.shape[0])
-    counts = np.array([hi - lo for lo, hi in bounds])
+    counts, mask = segment_layout(starts, a.shape[0])
     per_row = counts.reshape((-1,) + (1,) * (a.ndim - 1))
-    out = np.stack([a.data[lo:hi].sum(axis=0) for lo, hi in bounds]) / per_row
+    out = padded(a.data, mask, -0.0).sum(axis=1) / per_row
     return custom_op("segment_mean", out,
                      [(a, lambda g: np.repeat(g / per_row, counts, axis=0))])
 
 
+def _segment_cumsum(x, mask):
+    """One running sum per segment of the packed 1-d ``x``: ``np.cumsum``
+    along each row of the zero-padded layout, which adds in order, one
+    entry after another, so each segment gets the bits of its own
+    ``np.cumsum``."""
+    return packed(np.cumsum(padded(x, mask, 0.0), axis=1), mask)
+
+
 def cumsum(a, starts=(0,)) -> Tensor:
     """Running sum of a 1-d tensor, restarted at each segment start (see
-    ``segments``); each segment is its own ``np.cumsum``."""
+    ``segments``); each segment gets its own ``np.cumsum``'s bits.  The
+    backward is the running sum of the reversed gradient: reversed, the
+    packed rows are the segments in reverse order, each reversed, whose
+    layout is the mask's rows in reverse order."""
     a = _lift(a)
     if a.ndim != 1:
         raise ShapeError(f"cumsum expects 1-d input, got {a.shape}")
-    bounds = segments(starts, a.shape[0])
-    out = np.concatenate([np.cumsum(a.data[lo:hi]) for lo, hi in bounds])
-
-    def da(g):
-        return np.concatenate([np.cumsum(g[lo:hi][::-1])[::-1] for lo, hi in bounds])
-
-    return custom_op("cumsum", out, [(a, da)])
+    _, mask = segment_layout(starts, a.shape[0])
+    return custom_op("cumsum", _segment_cumsum(a.data, mask),
+                     [(a, lambda g: _segment_cumsum(g[::-1], mask[::-1])[::-1])])
 
 
 def gather_rows(a, indices) -> Tensor:

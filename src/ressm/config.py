@@ -14,11 +14,23 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = ["ConfigError", "Field", "parse_config_text", "load_config",
-           "apply_overrides", "resolve"]
+           "apply_overrides", "resolve", "require_ints"]
 
 
 class ConfigError(ValueError):
     """Bad key, bad value, or unusable file."""
+
+
+def require_ints(record, names) -> None:
+    """Raise ValueError, starting with the field's name, for a field of
+    ``record`` that is not an ``int``.  Sizes come from code or from a
+    checkpoint's JSON, where 4.0 and true also parse; a float slices
+    nothing and a bool is not a count.  None passes: whether an optional
+    size must be set is checked apart."""
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and type(value) is not int:  # bool is a subclass of int
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -47,9 +47,9 @@ __all__ = [
     "interval_map",
     "compression_deltas",
     "build_grid",
+    "grid_steps",
     "knn_indices",
     "make_plan",
-    "join_plans",
     "compress",
     "decompress",
     "closest_grid_index",
@@ -110,9 +110,10 @@ class ResampleConfig:
 class ResamplePlan:
     """Frozen routing between the source times and the uniform grid.
 
-    A plan made by ``join_plans`` routes several sequences packed end to
-    end: ``src_starts`` and ``dst_starts`` hold each one's first source
-    row and first grid row, and each keeps its own time axes.
+    A plan ``make_plan`` makes with several ``starts`` routes sequences
+    packed end to end: ``src_starts`` and ``dst_starts`` hold each one's
+    first source row and first grid row, and each keeps its own time
+    axes.
     """
 
     src_times: np.ndarray
@@ -202,22 +203,68 @@ def compression_deltas(cfg: ResampleConfig, x: np.ndarray) -> np.ndarray:
     return np.array(deltas.numpy())
 
 
+def _intervals(deltas, delta_base) -> np.ndarray:
+    """``deltas`` as a float array, once both arguments are checked."""
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if deltas.ndim != 1 or len(deltas) == 0:
+        raise ValueError("deltas must be a non-empty 1-d sequence")
+    if not np.isfinite(deltas).all():
+        raise ValueError("deltas must be finite")
+    if deltas.min() <= 0:
+        raise ValueError("all intervals must be strictly positive")
+    if not (math.isfinite(delta_base) and delta_base > 0):
+        raise ValueError(f"delta_base must be finite and positive, got {delta_base}")
+    return deltas
+
+
 def build_grid(deltas: np.ndarray, delta_base: float) -> ResamplePlan:
     """Place sources at cumulative times and lay the uniform grid.
 
     Grid length is floor(t_L / delta) clamped to at least 1, so the last
-    grid point never extrapolates past the sources.
+    grid point never extrapolates past the sources, and to at most the
+    source count.
     """
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if deltas.ndim != 1 or len(deltas) == 0:
-        raise ValueError("deltas must be a non-empty 1-d sequence")
-    if deltas.min() <= 0:
-        raise ValueError("all intervals must be strictly positive")
-    src_times = np.cumsum(deltas)
-    dst_len = max(1, math.floor(float(src_times[-1]) / delta_base + _GRID_EPS))
-    dst_len = min(dst_len, len(deltas))
+    src_times = np.cumsum(_intervals(deltas, delta_base))
+    # Clamped while still a float, so a huge t_L / delta never meets an
+    # int; the times are positive, so truncating is flooring.
+    dst_len = max(1, int(min(src_times[-1] / delta_base + _GRID_EPS, len(src_times))))
     dst_times = np.arange(1, dst_len + 1) * delta_base
     return ResamplePlan(src_times=src_times, dst_times=dst_times, dst_len=dst_len)
+
+
+def _grid(deltas, delta_base, starts):
+    """``build_grid`` for several sequences packed end to end from
+    ``starts`` (see ``autodiff.segments``), each on its own time axis,
+    with what routing reuses: the sources' ``segment_layout``, their
+    last times and each sequence's grid length."""
+    deltas = _intervals(deltas, delta_base)
+    lengths, mask = ad.segment_layout(starts, len(deltas))
+    # One np.cumsum per row of the zero-padded layout: each sequence's own
+    # bits, and its last time repeated to the end of its row.
+    times = ad.padded(deltas, mask, 0.0).cumsum(axis=1)
+    last = times[:, -1]
+    grid = np.minimum(last / delta_base + _GRID_EPS, lengths)
+    grid_lengths = np.maximum(grid.astype(np.intp), 1)
+    ends = grid_lengths.cumsum()
+    dst_starts = ends - grid_lengths
+    steps = _steps(dst_starts, grid_lengths, int(ends[-1]))
+    steps *= delta_base
+    plan = ResamplePlan(src_times=ad.packed(times, mask), dst_times=steps,
+                        dst_len=len(steps), src_starts=tuple(starts),
+                        dst_starts=tuple(dst_starts.tolist()))
+    return plan, lengths, mask, last, grid_lengths
+
+
+def _steps(starts, lengths, n):
+    """1, 2, 3, ... restarted at each of ``starts``, as n floats."""
+    return np.arange(1.0, n + 1) - starts.repeat(lengths)
+
+
+def grid_steps(plan: ResamplePlan) -> np.ndarray:
+    """Each grid point's place in its own sequence's grid, from 1: grid
+    point l lies at ``grid_steps(plan)[l] * delta``."""
+    lengths = ad.segment_lengths(plan.dst_starts, plan.dst_len)
+    return _steps(np.asarray(plan.dst_starts), lengths, plan.dst_len)
 
 
 def knn_indices(dst_time: float, src_times: np.ndarray, k: int) -> np.ndarray:
@@ -238,40 +285,111 @@ def knn_indices(dst_time: float, src_times: np.ndarray, k: int) -> np.ndarray:
     return chosen.astype(np.intp)
 
 
-def make_plan(deltas: np.ndarray, delta_base: float, window_k: int) -> ResamplePlan:
-    """Grid plus the frozen neighbor windows for every grid point.
+def _search(times, times_lengths, query, query_lengths):
+    """``np.searchsorted(times, query)`` inside each query's own sequence,
+    as an index into the packed ``times``; ``*_lengths`` count each
+    sequence's entries.  As complex numbers sequence + i time, keys sort
+    by sequence, then by time, and both parts are copied, never rounded,
+    so one pass serves every sequence exactly.  With one sequence the
+    times are the keys."""
+    if len(times_lengths) == 1:
+        return np.searchsorted(times, query)
+
+    def keys(t, lengths):
+        out = np.empty(len(t), dtype=np.complex128)
+        out.real, out.imag = np.repeat(np.arange(len(lengths)), lengths), t
+        return out
+
+    return np.searchsorted(keys(times, times_lengths), keys(query, query_lengths))
+
+
+def make_plan(deltas: np.ndarray, delta_base: float, window_k: int,
+              starts=(0,)) -> ResamplePlan:
+    """Grid plus the frozen neighbor windows for every grid point, for
+    one sequence or for several packed end to end from ``starts`` (see
+    ``autodiff.segments``), each on its own time axis; each grid point's
+    window lies in its own sequence.
 
     Row l of ``neighbors`` equals ``knn_indices(dst_times[l], src_times,
-    window_k)``.  Distance to a grid point falls up to its
-    ``searchsorted`` position and rises after it, so its K nearest
-    sources are one run of K among the 2K around that position: the run
-    starting at the first column c whose source is no further away than
-    the source K columns on (ties go to the lower index), found for
-    every row at once by counting the columns before it.  That holds
-    while no two neighboring sources in the span are equally far from
-    the grid point, which takes equal source times or an exact midpoint;
-    such rows are ranked over all sources.
+    window_k)`` over its sequence's sources, shifted by its first row.
+    Distance to a grid point falls up to its ``searchsorted`` position
+    and rises after it, so its K nearest sources are one run of K among
+    the 2K around that position: the run starting at the first column c
+    whose source is no further away than the source K columns on (ties
+    go to the lower index), found for every row at once by counting the
+    columns before it.  That holds while no two neighboring sources in
+    the span are equally far from the grid point, which takes equal
+    source times or an exact midpoint; such rows are ranked over all
+    their sequence's sources.  A sequence of at most K sources gives
+    each of its grid points every source, the last repeated.
+
+    One sequence is laid out on its own, without the group's padded
+    layout and search keys, whose fixed cost would outweigh its work.
     """
-    plan = build_grid(deltas, delta_base)
-    src, dst, k = plan.src_times, plan.dst_times, window_k
+    k = window_k
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ValueError(f"window_k must be at least 1, got {k}")
+    if len(starts) == 1:
+        return _sequence_plan(deltas, delta_base, k)
+    plan, lengths, mask, last, grid_lengths = _grid(deltas, delta_base, starts)
+    src, dst = plan.src_times, plan.dst_times
+    n_seq, longest = mask.shape
+    first = np.asarray(plan.src_starts)
+    # Row s of ``padded`` is sequence s padded as ``_sequence_plan`` pads
+    # one sequence, then padded on to the common width; columns past the
+    # sequence's own padding are never read.
+    far = 2.0 * np.maximum(last, grid_lengths * delta_base)[:, None]  # last grid times
+    width = longest + 2 * k + 1
+    padded = far * (np.arange(-k, width - k) - lengths[:, None])
+    padded += last[:, None]
+    padded[:, : k + 1] = far * np.arange(-k - 1, 0)
+    padded[:, k + 1 : k + 1 + longest][mask] = src
+    padded = padded.reshape(-1)
+    # Every left pad lies below a grid point and every right pad above
+    # it, so a grid point's place in its own row is K + 1 past its
+    # searchsorted position, and K + 1 before that its window starts.
+    at = _search(padded, [width] * n_seq, dst, grid_lengths)
+    at -= k + 1
+    tie = _nearest_runs(padded, at, dst, k)
+    # From the layout's flat index back to packed source rows.
+    at += (first - np.arange(n_seq) * width).repeat(grid_lengths)
+    chosen = at[:, None] + np.arange(-k, 0)
+    if tie.any() or lengths.min() <= k:
+        short = lengths <= k
+        seq = np.repeat(np.arange(n_seq), grid_lengths)  # each grid point's sequence
+        tied = np.flatnonzero(tie.any(axis=1) & ~short[seq])
+        if len(tied):
+            # A stable sort keeps the lower index first among equals;
+            # the infinite padding sorts after every source.
+            far_src = ad.padded(src, mask, np.inf)[seq[tied]]
+            order = np.argsort(np.abs(far_src - dst[tied, None]), axis=1, kind="stable")
+            chosen[tied] = np.sort(order[:, :k], axis=1) + first[seq[tied], None]
+        in_short = short[seq]
+        owner = seq[in_short]
+        chosen[in_short] = np.minimum(np.arange(k), lengths[owner, None] - 1) + first[owner, None]
+    plan.neighbors = chosen
+    return plan
+
+
+def _sequence_plan(deltas, delta_base, k) -> ResamplePlan:
+    """``make_plan`` of one sequence."""
+    plan = build_grid(deltas, delta_base)
+    src, dst = plan.src_times, plan.dst_times
     n = len(src)
     if n <= k:  # every source, the last repeated to fill the window
         plan.neighbors = np.minimum(np.arange(k), n - 1)[None, :].repeat(len(dst), axis=0)
         return plan
-    # Sources pos-K-1 .. pos+K-1 of each grid point, as columns 0 .. 2K.
-    # Past either end the sequence is padded with times further out than
-    # any real distance, and further with each step, so the padding is
-    # never nearest and never ties.
+    # Source j at place j + K + 1.  Past either end the sequence is padded
+    # with times further out than any real distance, and further with
+    # each step, so the padding is never nearest and never ties.
     far = 2.0 * max(src[-1], dst[-1])
     padded = np.concatenate([-far * np.arange(k + 1, 0, -1), src,
                              src[-1] + far * np.arange(1, k + 1)])
-    pos = np.searchsorted(src, dst)
-    dist = np.abs(padded[pos[:, None] + np.arange(2 * k + 1)] - dst[:, None])
-    start = pos - k + (dist[:, 1 : k + 1] > dist[:, k + 1 :]).sum(axis=1)
-    chosen = start[:, None] + np.arange(k)
-    tie = dist[:, 1:] == dist[:, :-1]
+    # A grid point's searchsorted position pos is where its window of
+    # sources pos-K-1 .. pos+K-1 starts.
+    at = np.searchsorted(src, dst)
+    tie = _nearest_runs(padded, at, dst, k)
+    chosen = at[:, None] + np.arange(-k, 0)
     if tie.any():
         tied = np.flatnonzero(tie.any(axis=1))
         # A stable sort keeps the lower index first among equals.
@@ -281,22 +399,21 @@ def make_plan(deltas: np.ndarray, delta_base: float, window_k: int) -> ResampleP
     return plan
 
 
-def join_plans(plans) -> ResamplePlan:
-    """One plan over the plans' sequences packed end to end, in order:
-    times concatenated, each plan's neighbor indices shifted by its
-    source offset.  One plan is its own join."""
-    if len(plans) == 1:
-        return plans[0]
-    src_starts = np.cumsum([0] + [len(p.src_times) for p in plans[:-1]])
-    dst_starts = np.cumsum([0] + [p.dst_len for p in plans[:-1]])
-    return ResamplePlan(
-        src_times=np.concatenate([p.src_times for p in plans]),
-        dst_times=np.concatenate([p.dst_times for p in plans]),
-        dst_len=int(dst_starts[-1]) + plans[-1].dst_len,
-        neighbors=np.concatenate([p.neighbors + s for p, s in zip(plans, src_starts)]),
-        src_starts=tuple(src_starts.tolist()),
-        dst_starts=tuple(dst_starts.tolist()),
-    )
+def _nearest_runs(padded, at, dst, k):
+    """Moves each grid point's ``at``, where its window of 2K + 1
+    increasing ``padded`` times starts, on to the place just before its
+    run of K nearest (see ``make_plan``).  Returns [D, 2K] flags of the
+    neighbors in each window that lie equally far from it."""
+    # Row i of ``windows`` is padded[i : i + 2K + 1], a view (numpy
+    # checks that it fits).
+    windows = np.ndarray((len(padded) - 2 * k, 2 * k + 1), buffer=padded,
+                         strides=padded.strides * 2)
+    dist = windows[at]
+    dist -= dst[:, None]
+    np.abs(dist, out=dist)
+    # bool @ int counts the Trues of each row exactly, faster than sum.
+    at += (dist[:, 1 : k + 1] > dist[:, k + 1 :]) @ np.ones(k, dtype=np.intp)
+    return dist[:, 1:] == dist[:, :-1]
 
 
 def compress(cfg: ResampleConfig, x: np.ndarray, plan: ResamplePlan) -> np.ndarray:
@@ -315,17 +432,18 @@ def closest_grid_index(plan: ResamplePlan) -> np.ndarray:
     its own sequence (ties toward the lower index).
 
     Grid times are increasing, so the nearest grid point is one of the two
-    either side of the source's ``searchsorted`` position; memory is O(L).
+    either side of the source's ``searchsorted`` position in its
+    sequence's grid (``_search``); memory is O(L).
     """
-    out = np.empty(len(plan.src_times), dtype=np.intp)
-    for (a, b), (c, d) in zip(ad.segments(plan.src_starts, len(plan.src_times)),
-                              ad.segments(plan.dst_starts, plan.dst_len)):
-        src, dst = plan.src_times[a:b], plan.dst_times[c:d]
-        hi = np.minimum(np.searchsorted(dst, src), len(dst) - 1)
-        lo = np.maximum(hi - 1, 0)
-        take_lo = np.abs(src - dst[lo]) <= np.abs(src - dst[hi])
-        out[a:b] = np.where(take_lo, lo, hi) + c
-    return out
+    src, dst = plan.src_times, plan.dst_times
+    lengths = ad.segment_lengths(plan.src_starts, len(src))
+    grid_lengths = ad.segment_lengths(plan.dst_starts, plan.dst_len)
+    grid_starts = np.asarray(plan.dst_starts)
+    first = grid_starts.repeat(lengths)  # each source's first and last grid point
+    last = (grid_starts + grid_lengths - 1).repeat(lengths)
+    hi = np.minimum(_search(dst, grid_lengths, src, lengths), last)
+    lo = np.maximum(hi - 1, first)
+    return np.where(np.abs(src - dst[lo]) <= np.abs(src - dst[hi]), lo, hi)
 
 
 def decompress(y_bar: np.ndarray, plan: ResamplePlan) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""The fused SSM layer ops: the selective scan and the fixed-step
-convolution.
+"""The fused SSM layer ops: the selective layer, its scan, and the
+fixed-step convolution.
 
 ``ssm_scan`` runs the recurrence of a bank of diagonal SSMs whose input
 map, output map and time interval vary per step, as one tape node with
-a hand-written backward pass.  The network computes those per-step
-parameters from its features (``network.ResampleNetwork``) and hands
-them to this op; keeping the whole scan in one node makes sequence
-training tractable without giving up exact reverse-mode gradients.
+a hand-written backward pass.  ``selective_layer`` computes those
+per-step parameters from the layer's input and weights and runs the
+same scan, all as one node, as Mamba's selective-scan kernel takes the
+interval and the input and output projections inside the scan (Gu & Dao
+2023, arXiv:2312.00752): on sequences of a few dozen rows a node's
+bookkeeping costs more than its arithmetic.
 
 Both the forward recurrence and the backward adjoint recurrence are
 first-order linear scans, h_t = decay_t h_{t-1} + drive_t, run by
@@ -44,7 +46,7 @@ import numpy as np
 from . import autodiff as ad
 from .ssm import phi, phi_prime
 
-__all__ = ["ssm_scan", "fixed_step_conv"]
+__all__ = ["ssm_scan", "selective_layer", "fixed_step_conv"]
 
 # Decays below this are flushed to exact zero.  A product of two
 # unflushed decays is then at least float64's smallest normal, so the
@@ -169,6 +171,13 @@ def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
     return da, dd, db, dc, du
 
 
+def _scan_rows(starts, T):
+    """The first row of each packed segment (see ``autodiff.segments``)
+    and the length of the longest: where the scan restarts, and how many
+    doubling passes it needs."""
+    return list(starts), int(ad.segment_lengths(starts, T).max())
+
+
 def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
     """Run W parallel single-input recurrences with shared per-step params.
 
@@ -205,9 +214,7 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
             raise ad.ShapeError("scan operand shapes disagree")
         if np.any(d < 0):
             raise ValueError("scan intervals must be non-negative")
-        bounds = ad.segments(starts, T)
-        rows = [lo for lo, _ in bounds]
-        longest = max(hi - lo for lo, hi in bounds)
+        rows, longest = _scan_rows(starts, T)
 
         with np.errstate(all="ignore"):  # non-finite results surface via custom_op
             ys, saved = _scan_forward(a, d, b, c, uu, rows, longest)
@@ -216,11 +223,74 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
     return ad.fused_op("ssm_scan", forward, a_diag, deltas, b_seq, c_seq, u)
 
 
+def selective_layer(rho, theta_b, theta_c, theta_delta, delta_base, u, *,
+                    starts=(0,)) -> ad.Tensor:
+    """The selective layer: ``ssm_scan`` on parameters computed from its
+    input and weights, as one tape node.
+
+    Shapes: rho, theta_b and theta_c [W, N], theta_delta [W], delta_base
+    a scalar, u [T, W].  Returns y [T, W].  The scan runs on a = -exp(rho),
+    b_t = u_t theta_b, c_t = u_t theta_c and delta_t = softplus(u_t .
+    theta_delta + delta_base), from a zero state at each of ``starts``.
+    The backward chains the scan's gradients through those maps: a's by
+    a, the intervals' by sigmoid of their preactivation, b's, c's and
+    the preactivation's through the three products, with u's four terms
+    summed in the order the same ops composed on the tape would sum them
+    (scan, theta_delta, theta_c, theta_b), so both agree bit for bit.
+    """
+    def forward(rh, tb, tc, td, base, uu):
+        if uu.ndim != 2 or uu.shape[0] == 0:
+            raise ad.ShapeError(f"u must be a non-empty [T, W], got {uu.shape}")
+        T, W = uu.shape
+        if rh.ndim != 2 or rh.shape[0] != W:
+            raise ad.ShapeError(f"rho must be [W={W}, N], got {rh.shape}")
+        if tb.shape != rh.shape or tc.shape != rh.shape or td.shape != (W,) or base.size != 1:
+            raise ad.ShapeError("selective-layer operand shapes disagree")
+        rows, longest = _scan_rows(starts, T)
+        td_col = td.reshape(W, 1)
+        with np.errstate(all="ignore"):  # non-finite results surface via custom_op
+            a = -np.exp(rh)
+            if not np.isfinite(a).all():
+                raise ad.NonFiniteError("non-finite result in op 'selective_layer'")
+            b_seq, c_seq = uu @ tb, uu @ tc
+            pre = (uu @ td_col).reshape(T) + base
+            deltas = ad._softplus(pre)
+            ys, saved = _scan_forward(a, deltas, b_seq, c_seq, uu, rows, longest)
+
+        def backward(dy):
+            da, dd, d_b, d_c, du = _scan_backward(dy, a, deltas, b_seq, c_seq, uu, rows,
+                                                  longest, saved)
+            d_pre = dd * ad._sigmoid(pre)
+            d_col = d_pre.reshape(T, 1)
+            du = du + d_col @ td_col.T
+            du = du + d_c @ tc.T
+            du = du + d_b @ tb.T
+            return (da * a, uu.T @ d_b, uu.T @ d_c, (uu.T @ d_col).reshape(W),
+                    np.reshape(np.sum(d_pre), base.shape), du)
+
+        return ys, backward
+
+    return ad.fused_op("selective_layer", forward, rho, theta_b, theta_c, theta_delta,
+                       delta_base, u)
+
+
 def _fft_length(m):
     """The least 2^i, 3 * 2^i, 9 * 2^i or 27 * 2^i at or above m: an FFT
     length of small factors, less than 4/3 of m (the next power of two
     can be 2m)."""
     return min(p << ((m - 1) // p).bit_length() for p in (1, 3, 9, 27))
+
+
+def _spread(x, mask):
+    """Packed [T, W] rows as [S, W, L]: segment s in row s, zero-padded
+    (``autodiff.segment_layout``), contiguous, as the FFT reads it
+    fastest."""
+    return np.ascontiguousarray(ad.padded(x, mask, 0.0).transpose(0, 2, 1))
+
+
+def _gather(x, mask):
+    """[S, W, >= L] back to packed [T, W] rows; ``_spread``'s inverse."""
+    return ad.packed(x[:, :, : mask.shape[1]].transpose(0, 2, 1), mask)
 
 
 def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
@@ -252,17 +322,8 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
         N = rh.shape[1]
         if rd.size != 1 or bv.shape != (N,) or cv.shape != (N,):
             raise ad.ShapeError("fixed-step operand shapes disagree")
-        bounds = ad.segments(starts, T)
-        L = max(hi - lo for lo, hi in bounds)
-
-        def spread(x):  # [T, W] rows -> [S, W, L], each segment zero-padded
-            out = np.zeros((len(bounds), W, L))
-            for s, (lo, hi) in enumerate(bounds):
-                out[s, :, : hi - lo] = x[lo:hi].T
-            return out
-
-        def gather(x):  # back to [T, W]
-            return np.concatenate([x[s, :, : hi - lo].T for s, (lo, hi) in enumerate(bounds)])
+        _, mask = ad.segment_layout(starts, T)
+        L = mask.shape[1]
 
         with np.errstate(all="ignore"):  # non-finite results surface via custom_op
             a = -np.exp(rh.reshape(-1))
@@ -284,12 +345,12 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
             by_w, _ = _selectors(W, N)
             n = _fft_length(L + span - 1)  # nothing wraps round
             kf = np.fft.rfft((by_w * coef) @ powers, n)  # [W, n//2 + 1]
-            uf = np.fft.rfft(spread(uu), n)
-            ys = gather(np.fft.irfft(uf * kf, n))
+            uf = np.fft.rfft(_spread(uu, mask), n)
+            ys = _gather(np.fft.irfft(uf * kf, n), mask)
 
         def backward(dy):
-            dyf = np.fft.rfft(spread(dy), n)
-            du = gather(np.fft.irfft(dyf * kf.conj(), n))
+            dyf = np.fft.rfft(_spread(dy, mask), n)
+            du = _gather(np.fft.irfft(dyf * kf.conj(), n), mask)
             dk = np.fft.irfft(np.einsum("swf,swf->wf", dyf, uf.conj()), n)[:, :span]
             # K[w, j] = sum_n coef e^{jz}: through the powers, dz takes
             # j e^{jz}; through coef = phi(z) delta b c, phi'(z).

@@ -11,9 +11,11 @@ is supposed to help with at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .config import require_ints
 
 __all__ = ["SparseSignalTask", "Example", "gen_sparse_task", "oracle_predict", "oracle_accuracy"]
 
@@ -34,6 +36,7 @@ class SparseSignalTask:
     def __post_init__(self):
         # Each message starts with the field name, which the CLI prefixes
         # with "task." to name the config key.
+        require_ints(self, [f.name for f in fields(self)])
         for name, low in (("seq_len", 1), ("n_classes", 2), ("noise_vocab", 1),
                           ("n_train", 1), ("n_val", 1)):
             if getattr(self, name) < low:

@@ -250,10 +250,46 @@ class TestExtendedOps:
         err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.segment_mean(t, starts), w)), x)
         assert err < 1e-6
 
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           H=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_padded_forms_bit_equal_to_one_op_per_segment(self, lengths, H, seed):
+        # Magnitudes over six decades, so sums round, and -0.0 entries,
+        # so some segment columns are -0.0 throughout.
+        r = rng(seed)
+        x = r.normal(size=(sum(lengths), H)) * 10.0 ** r.uniform(-3, 3, size=(sum(lengths), 1))
+        x[r.random(x.shape) < 0.2] = -0.0
+        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        bounds = ad.segments(starts, len(x))
+
+        def bits(a):
+            return np.ascontiguousarray(a).view(np.int64)
+
+        col = x[:, 0]
+        tape = ad.Tape()
+        t = tape.leaf(col)
+        out = ad.cumsum(t, starts)
+        want = np.concatenate([np.cumsum(col[lo:hi]) for lo, hi in bounds])
+        np.testing.assert_array_equal(bits(out.numpy()), bits(want))
+        g = x[:, 1]
+        tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
+        want = np.concatenate([np.cumsum(g[lo:hi][::-1])[::-1] for lo, hi in bounds])
+        np.testing.assert_array_equal(bits(tape.grad(t)), bits(want))
+
+        want = np.stack([x[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in bounds])
+        np.testing.assert_array_equal(bits(ad.segment_mean(ad.constant(x), starts).numpy()),
+                                      bits(want))
+
+    def test_segment_mean_of_one_column_alone_is_reduce_mean(self):
+        x = rng(35).normal(size=(37, 1))
+        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x), (0,)).numpy()[0],
+                                      ad.reduce_mean(ad.constant(x), axis=0).numpy())
+
     @pytest.mark.parametrize("starts", [(), (1, 3), (0, 3, 3), (0, 2, 1), (0, 9)])
     def test_segments_rejects_bad_starts(self, starts):
-        with pytest.raises(ad.ShapeError, match="segment starts"):
-            ad.segments(starts, 9)
+        for split in (ad.segments, ad.segment_lengths, ad.segment_layout):
+            with pytest.raises(ad.ShapeError, match="segment starts"):
+                split(starts, 9)
 
     def test_cross_entropy_rows_sum_per_row_losses(self):
         r = rng(34)

@@ -343,6 +343,12 @@ class TestCheckpointValidation:
     @pytest.mark.parametrize("task_edit, message", [
         ({"n_val": 0}, "n_val"),
         ({"bogus": 1}, "bogus"),
+        ({"n_val": 4.0}, "n_val must be an integer"),
+        ({"seq_len": 16.0}, "seq_len must be an integer"),
+        ({"n_informative": 2.5}, "n_informative must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"noise_vocab": 8.0}, "noise_vocab must be an integer"),
     ])
     def test_bad_task_record_is_usage_error_before_output(self, tmp_path, capsys,
                                                          task_edit, message):

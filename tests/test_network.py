@@ -280,8 +280,8 @@ def bench_layout(layout):
 
 class TestTapeSize:
     @pytest.mark.parametrize("layout, seq_len, ceiling", [
-        ("criterion8", 256, 82),
-        ("preset", 32, 136),
+        ("criterion8", 256, 64),
+        ("preset", 32, 100),
     ])
     def test_train_example_node_ceiling(self, layout, seq_len, ceiling):
         # Each node costs Python bookkeeping on top of its arithmetic; at
@@ -302,6 +302,16 @@ class TestTapeSize:
         ops = [node for node in tape.nodes if node.kind != "leaf"]
         assert [node.kind for node in ops] == ["fixed_step_conv", "concat", "add"]
         assert [tape.nodes[p].kind for p in ops[0].parents] == ["leaf"] * 4
+
+    def test_selective_layer_is_one_node_on_its_weights(self):
+        model = net.ResampleNetwork(feature_spec(kappas=(None,), norm="none", selective=True),
+                                    seed=33)
+        x = np.random.default_rng(33).normal(size=(6, 4))
+        tape = ad.Tape()
+        model.run_block(0, x, tape=tape)
+        ops = [node for node in tape.nodes if node.kind != "leaf"]
+        assert [node.kind for node in ops] == ["selective_layer", "concat", "add"]
+        assert [tape.nodes[p].kind for p in ops[0].parents] == ["leaf"] * 5
 
     @pytest.mark.parametrize("layout", ["criterion8", "preset"])
     def test_group_records_as_many_nodes_as_one_sequence(self, layout):

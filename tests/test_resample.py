@@ -245,6 +245,134 @@ def dense_closest(plan):
     return np.argmin(np.abs(plan.src_times[:, None] - plan.dst_times[None, :]), axis=1)
 
 
+def plan_one_sequence(deltas, delta, k):
+    """The routing of one sequence as it was made before groups were
+    routed in one pass: its grid, then its windows.  The oracle group
+    plans are held to."""
+    src = np.cumsum(deltas)
+    dst_len = min(max(1, math.floor(float(src[-1]) / delta + rs._GRID_EPS)), len(deltas))
+    dst = np.arange(1, dst_len + 1) * delta
+    n = len(src)
+    if n <= k:
+        return src, dst, np.minimum(np.arange(k), n - 1)[None, :].repeat(len(dst), axis=0)
+    far = 2.0 * max(src[-1], dst[-1])
+    padded = np.concatenate([-far * np.arange(k + 1, 0, -1), src,
+                             src[-1] + far * np.arange(1, k + 1)])
+    pos = np.searchsorted(src, dst)
+    dist = np.abs(padded[pos[:, None] + np.arange(2 * k + 1)] - dst[:, None])
+    start = pos - k + (dist[:, 1 : k + 1] > dist[:, k + 1 :]).sum(axis=1)
+    chosen = start[:, None] + np.arange(k)
+    tie = dist[:, 1:] == dist[:, :-1]
+    if tie.any():
+        tied = np.flatnonzero(tie.any(axis=1))
+        order = np.argsort(np.abs(src - dst[tied, None]), axis=1, kind="stable")
+        chosen[tied] = np.sort(order[:, :k], axis=1)
+    return src, dst, chosen
+
+
+def plan_per_sequence(parts, delta, k):
+    """One plan per sequence, joined end to end: times concatenated,
+    each sequence's windows and copy-back shifted by its first row."""
+    plans = [plan_one_sequence(p, delta, k) for p in parts]
+    src_starts = np.cumsum([0] + [len(p) for p in parts[:-1]])
+    dst_starts = np.cumsum([0] + [len(dst) for _, dst, _ in plans[:-1]])
+    back = []
+    for (src, dst, _), c in zip(plans, dst_starts):
+        hi = np.minimum(np.searchsorted(dst, src), len(dst) - 1)
+        lo = np.maximum(hi - 1, 0)
+        back.append(np.where(np.abs(src - dst[lo]) <= np.abs(src - dst[hi]), lo, hi) + c)
+    return dict(
+        src_times=np.concatenate([src for src, _, _ in plans]),
+        dst_times=np.concatenate([dst for _, dst, _ in plans]),
+        neighbors=np.concatenate([nb + s for (_, _, nb), s in zip(plans, src_starts)]),
+        src_starts=tuple(src_starts.tolist()),
+        dst_starts=tuple(dst_starts.tolist()),
+        copy_back=np.concatenate(back),
+    )
+
+
+def _draw_deltas(r, L, delta, kappa, layout):
+    if layout == "uniform":
+        return delta * (kappa + (1.0 - kappa) * r.uniform(size=L))
+    if layout == "equal":
+        return np.full(L, kappa * delta)
+    if layout == "kappa_one":  # every interval delta: every grid point a source
+        return np.full(L, delta)
+    # dyadic steps: many grid points and sources tie exactly
+    return delta * r.choice([0.25, 0.5, 0.75, 1.0], size=L)
+
+
+class TestGroupPlans:
+    """One plan over sequences packed end to end against one plan per
+    sequence (the oracle above), bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.one_of(st.integers(1, 60), st.sampled_from([1, 2, 3, 5, 6])),
+                         min_size=1, max_size=6),
+        k=st.integers(min_value=1, max_value=6),
+        kappa=st.floats(min_value=0.05, max_value=1.0),
+        delta=st.sampled_from([1.0, 0.5, 0.3]),
+        layouts=st.lists(st.sampled_from(["uniform", "equal", "kappa_one", "lattice"]),
+                         min_size=6, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    @example(lengths=[4, 1, 9], k=5, kappa=0.5, delta=1.0,
+             layouts=["uniform"] * 6, seed=1)  # segments of length <= K
+    @example(lengths=[6, 7], k=2, kappa=0.5, delta=1.0,
+             layouts=["equal"] * 6, seed=2)  # sources midway between grid points
+    def test_bit_equal_to_one_plan_per_sequence(self, lengths, k, kappa, delta, layouts, seed):
+        r = np.random.default_rng(seed)
+        parts = [_draw_deltas(r, L, delta, kappa, lay) for L, lay in zip(lengths, layouts)]
+        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        plan = rs.make_plan(np.concatenate(parts), delta, k, starts=starts)
+        want = plan_per_sequence(parts, delta, k)
+        for name in ("src_times", "dst_times", "neighbors"):
+            got = getattr(plan, name)
+            assert got.dtype == want[name].dtype
+            assert got.tobytes() == want[name].tobytes(), name
+        assert plan.dst_len == len(want["dst_times"])
+        assert (plan.src_starts, plan.dst_starts) == (want["src_starts"], want["dst_starts"])
+        copy_back = rs.closest_grid_index(plan)
+        assert copy_back.dtype == np.intp
+        np.testing.assert_array_equal(copy_back, want["copy_back"])
+
+    def test_one_sequence_routes_as_first_of_a_group(self):
+        # make_plan lays one sequence out on its own; packed first in a
+        # group, the same sequence gets the same bits.
+        r = np.random.default_rng(3)
+        deltas = _draw_deltas(r, 40, 1.0, 0.3, "uniform")
+        other = _draw_deltas(r, 25, 1.0, 0.3, "uniform")
+        alone = rs.make_plan(deltas, 1.0, 3)
+        group = rs.make_plan(np.concatenate([deltas, other]), 1.0, 3, starts=(0, 40))
+        D = alone.dst_len
+        assert group.dst_starts == (0, D)
+        assert alone.src_times.tobytes() == group.src_times[:40].tobytes()
+        assert alone.dst_times.tobytes() == group.dst_times[:D].tobytes()
+        assert alone.neighbors.tobytes() == group.neighbors[:D].tobytes()
+
+    @pytest.mark.parametrize("args, name", [
+        (([1.0, np.nan, 1.0], 1.0), "deltas"),
+        (([1.0, np.inf, 1.0], 1.0), "deltas"),
+        (([1.0, -np.inf], 1.0), "deltas"),
+        (([1.0, 0.0], 1.0), "intervals"),
+        (([], 1.0), "deltas"),
+        (([1.0, 1.0], np.nan), "delta_base"),
+        (([1.0, 1.0], np.inf), "delta_base"),
+        (([1.0, 1.0], 0.0), "delta_base"),
+        (([1.0, 1.0], -1.0), "delta_base"),
+    ])
+    def test_bad_input_rejected_by_name(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            rs.make_plan(np.array(args[0], dtype=np.float64), args[1], 2)
+
+    def test_bad_starts_rejected(self):
+        with pytest.raises(ad.ShapeError, match="segment starts"):
+            rs.make_plan(np.ones(5), 1.0, 2, starts=(0, 5))
+        with pytest.raises(ValueError, match="window_k"):
+            rs.make_plan(np.ones(5), 1.0, 0)
+
+
 class TestWindowRouting:
     """The searchsorted windows of make_plan and closest_grid_index
     against brute force: knn_indices and the dense argmin."""

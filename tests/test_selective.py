@@ -32,15 +32,17 @@ def selective_block(seed=0):
 
 
 def run_capturing_scan(monkeypatch, model, x):
-    """Block output and the operands the block handed to the scan."""
+    """Block output and the operands the selective layer handed to its
+    scan."""
     seen = {}
+    scan_forward = selective._scan_forward
 
-    def spy(a, deltas, b_seq, c_seq, u, **kw):
-        seen.update(a=a.numpy(), deltas=deltas.numpy(), b_seq=b_seq.numpy(),
-                    c_seq=c_seq.numpy(), u=u.numpy())
-        return selective.ssm_scan(a, deltas, b_seq, c_seq, u, **kw)
+    def spy(a, deltas, b_seq, c_seq, u, *rest):
+        seen.update(a=a.copy(), deltas=deltas.copy(), b_seq=b_seq.copy(),
+                    c_seq=c_seq.copy(), u=u.copy())
+        return scan_forward(a, deltas, b_seq, c_seq, u, *rest)
 
-    monkeypatch.setattr(net, "ssm_scan", spy)
+    monkeypatch.setattr(selective, "_scan_forward", spy)
     return model.run_block(0, x).numpy(), seen
 
 
@@ -502,6 +504,97 @@ class TestSelectiveScan:
             assert seen["deltas"][l] > 0
 
 
+def composed_selective_layer(rho_t, theta_b_t, theta_c_t, theta_delta_t, delta_base_t, u_t,
+                             starts=(0,)):
+    """The selective layer as its scan on parameters computed from
+    primitive tape ops: the oracle ``selective_layer`` is held to."""
+    T, W = u_t.shape
+    a = ad.neg(ad.exp(rho_t))
+    b_seq = ad.matmul(u_t, theta_b_t)
+    c_seq = ad.matmul(u_t, theta_c_t)
+    pre_act = ad.reshape(ad.matmul(u_t, ad.reshape(theta_delta_t, (W, 1))), (T,))
+    deltas = ad.softplus(ad.add(pre_act, delta_base_t))
+    return selective.ssm_scan(a, deltas, b_seq, c_seq, u_t, starts=starts)
+
+
+def _selective_operands(r, T, W, N):
+    return [0.5 * r.normal(size=(W, N)), r.normal(size=(W, N)), r.normal(size=(W, N)),
+            r.normal(size=W), np.array(r.normal()), r.normal(size=(T, W))]
+
+
+_SELECTIVE_NAMES = ["rho", "theta_b", "theta_c", "theta_delta", "delta_base", "u"]
+
+
+class TestSelectiveLayer:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lengths=st.one_of(
+            st.just([1]),
+            st.lists(st.sampled_from(_EDGE_LENGTHS[:-6]), min_size=1, max_size=3),
+            st.lists(st.integers(1, 70), min_size=2, max_size=6),  # unequal, packed
+        ),
+        W=st.integers(1, 3),
+        N=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_equal_to_composed_ops(self, lengths, W, N, seed):
+        r = np.random.default_rng(seed)
+        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        ops = _selective_operands(r, sum(lengths), W, N)
+        weight = r.normal(size=(sum(lengths), W))
+        got, got_grads = grads_through(
+            lambda *t: selective.selective_layer(*t, starts=starts), ops, weight)
+        want, want_grads = grads_through(
+            lambda *t: composed_selective_layer(*t, starts=starts), ops, weight)
+        np.testing.assert_array_equal(got, want)
+        for g, w in zip(got_grads, want_grads):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("which", range(6), ids=_SELECTIVE_NAMES)
+    def test_gradients_vs_finite_differences(self, which):
+        # Segments of 5, 1, 9 and 4 rows, as the scan's own test.
+        r = np.random.default_rng(zlib.crc32(_SELECTIVE_NAMES[which].encode()) + 70)
+        T, W, N = 19, 2, 3
+        starts = (0, 5, 6, 15)
+        base = _selective_operands(r, T, W, N)
+        weight = r.normal(size=(T, W))
+
+        def f(t):
+            args = list(base)
+            args[which] = t
+            y = selective.selective_layer(*args, starts=starts)
+            return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
+
+        assert ad.grad_check(f, base[which]) < 1e-4
+
+    def test_backward_after_reset(self):
+        r = np.random.default_rng(71)
+        assert_fresh_after_reset(lambda *t: selective.selective_layer(*t, starts=(0, 4)),
+                                 _selective_operands(r, 9, 2, 3), r)
+
+    def test_no_state_or_gradient_crosses_a_start(self):
+        r = np.random.default_rng(72)
+        ops = _selective_operands(r, 12, 2, 3)
+        tape = ad.Tape()
+        u = tape.leaf(ops[5])
+        y = selective.selective_layer(*ops[:5], u, starts=(0, 7))
+        tape.backward(ad.reduce_sum(ad.slice_along(y, 0, 0, 7)))
+        assert np.all(tape.grad(u)[7:] == 0.0)
+        assert np.all(tape.grad(u)[:7] != 0.0)
+
+    def test_bad_operands_rejected(self):
+        r = np.random.default_rng(73)
+        rho, tb, tc, td, db, u = _selective_operands(r, 5, 2, 3)
+        for args in [(rho, tb, tc, td, db, u[:, :1]), (rho, tb[:, :2], tc, td, db, u),
+                     (rho, tb, tc, td[:1], db, u), (rho, tb, tc, td, np.zeros(2), u),
+                     (rho, tb, tc, td, db, u[:0])]:
+            with pytest.raises(ad.ShapeError):
+                selective.selective_layer(*args)
+        with pytest.raises(ad.NonFiniteError):
+            selective.selective_layer(np.full((2, 3), 800.0), tb, tc, td, db, u)
+
+
 def composed_fixed_step(rho_t, raw_delta_t, b_t, c_t, u_t, starts=(0,)):
     """The fixed-step layer as the selective scan on operands tiled over
     the rows, from primitive tape ops: the oracle ``fixed_step_conv`` is
@@ -557,6 +650,23 @@ class TestFixedStepConv:
                                    ops, weight)
             for g, w in zip(got, ref):
                 assert_close_relative(g, w, rtol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           W=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_padded_layout_matches_one_copy_per_segment(self, lengths, W, seed):
+        x = np.random.default_rng(seed).normal(size=(sum(lengths), W))
+        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        bounds = ad.segments(starts, len(x))
+        _, mask = ad.segment_layout(starts, len(x))
+        want = np.zeros((len(bounds), W, max(lengths)))
+        for s, (lo, hi) in enumerate(bounds):
+            want[s, :, : hi - lo] = x[lo:hi].T
+        got = selective._spread(x, mask)
+        np.testing.assert_array_equal(got, want)
+        # What irfft hands back is longer than the segments.
+        longer = np.concatenate([want, np.ones((len(bounds), W, 3))], axis=2)
+        np.testing.assert_array_equal(selective._gather(longer, mask), x)
 
     def test_one_sequence_of_one_row(self):
         r = np.random.default_rng(60)

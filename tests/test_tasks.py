@@ -36,6 +36,16 @@ class TestGeneration:
         for ex in train:
             assert np.all(ex.tokens == ex.label)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_val", 4.0), ("seq_len", 16.0), ("n_informative", 2.5), ("seed", 1.5),
+        ("seed", True), ("noise_vocab", 8.0), ("n_classes", np.int64(4)),
+    ])
+    def test_non_integer_size_rejected_by_name(self, field, value):
+        # JSON reads 4.0 and true as well as 4; a bool is not a count and
+        # true must not read as seed 1.
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            tasks.SparseSignalTask(**{field: value})
+
     def test_too_many_informative_rejected(self):
         with pytest.raises(ValueError):
             tasks.SparseSignalTask(seq_len=8, n_informative=9)
