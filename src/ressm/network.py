@@ -396,14 +396,18 @@ class ResampleNetwork:
     def _embed(self, x, bind):
         if self.spec.vocab_size is not None:
             ids = np.asarray(x)
-            if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer):
-                raise ValueError("token models take a 1-d integer sequence")
-            if ids.min() < 0 or ids.max() >= self.spec.vocab_size:
-                raise ValueError("token id out of vocabulary range")
+            if ids.ndim != 1 or not np.issubdtype(ids.dtype, np.integer) or ids.size == 0:
+                raise ValueError("token models take a non-empty 1-d integer sequence, "
+                                 f"got {ids.dtype} of shape {ids.shape}")
+            vocab = self.spec.vocab_size
+            if ids.min() < 0 or ids.max() >= vocab:
+                first = ids[(ids < 0) | (ids >= vocab)][0]
+                raise ValueError(f"token id {first} out of vocabulary range [0, {vocab})")
             return ad.gather_rows(bind("embed.table"), ids)
         x_t = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
-        if x_t.ndim != 2 or x_t.shape[1] != self.spec.input_dim:
-            raise ValueError(f"expected [L, {self.spec.input_dim}] features, got {x_t.shape}")
+        if x_t.ndim != 2 or x_t.shape[0] == 0 or x_t.shape[1] != self.spec.input_dim:
+            raise ValueError(f"expected non-empty [L, {self.spec.input_dim}] features, "
+                             f"got {x_t.shape}")
         return ad.matmul(x_t, bind("input.w"))
 
     def _norm(self, i, x_t, bind, train):

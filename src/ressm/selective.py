@@ -55,6 +55,13 @@ _DECAY_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 _LOG_DECAY_FLOOR = math.log(_DECAY_FLOOR)
 
 
+def _flush_decays(x):
+    """Zero the entries of ``x`` below the floor, in place.  Decays are
+    finite and non-negative, so multiplying by the 0/1 mask is exact and,
+    unlike a masked write, has no branch to mispredict."""
+    np.multiply(x, x >= _DECAY_FLOOR, out=x)
+
+
 def _linear_scan(decay, drive, spare, longest, reverse=False):
     """h_t = decay_t * h_{t-1} + drive_t from h_{-1} = 0, along axis 0;
     with ``reverse``, h_t = decay_{t+1} * h_{t+1} + drive_t from the end.
@@ -76,10 +83,10 @@ def _linear_scan(decay, drive, spare, longest, reverse=False):
     h, span = drive, decay
     # Every nonzero span of m decays is at least low**m, so a pass whose
     # bound clears the floor by a margin (far above rounding) skips the
-    # flush; the floor-crossing passes run the masked write.
+    # flush; the floor-crossing passes run it.
     low = span.min(where=span > 0.0, initial=1.0)
     if low < _DECAY_FLOOR:
-        np.copyto(span, 0.0, where=span < _DECAY_FLOOR)
+        _flush_decays(span)
         low = _DECAY_FLOOR
     log_low, log_floor = math.log(low), math.log(_DECAY_FLOOR) + 1e-6
     T = len(h)
@@ -99,7 +106,7 @@ def _linear_scan(decay, drive, spare, longest, reverse=False):
             new = spare[lo:hi]
             np.multiply(span[lo:hi], span[lo + off : hi + off], out=new)
             if 2 * k * log_low < log_floor:
-                np.copyto(new, 0.0, where=new < _DECAY_FLOOR)
+                _flush_decays(new)
             span, spare = spare, span
         k *= 2
     return h

@@ -58,13 +58,17 @@ class Example:
 
 
 def _gen_split(task: SparseSignalTask, n: int, rng: np.random.Generator) -> list[Example]:
+    # Ids are drawn as int64, so the stream does not depend on how they
+    # are stored, and kept in the narrowest unsigned dtype that holds the
+    # vocabulary (uint8 up to 256 ids); the model widens them to index.
+    dtype = np.min_scalar_type(task.vocab_size - 1)
     out = []
     for _ in range(n):
         label = int(rng.integers(0, task.n_classes))
         tokens = rng.integers(task.n_classes, task.vocab_size, size=task.seq_len)
         pos = rng.choice(task.seq_len, size=task.n_informative, replace=False)
         tokens[pos] = label
-        out.append(Example(tokens=tokens.astype(np.int64), label=label,
+        out.append(Example(tokens=tokens.astype(dtype), label=label,
                            informative=np.sort(pos)))
     return out
 

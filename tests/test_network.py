@@ -191,6 +191,24 @@ class TestNetwork:
         with pytest.raises(ValueError):
             model.predict(np.array([0, 7]))
 
+    def test_token_out_of_vocab_names_the_id(self):
+        model = net.ResampleNetwork(token_spec(vocab=5), seed=8)
+        with pytest.raises(ValueError, match=r"^token id 7 out of vocabulary range \[0, 5\)$"):
+            model.predict(np.array([0, 7, 9, 3]))
+        with pytest.raises(ValueError, match=r"^token id -2 out of vocabulary range"):
+            model.predict(np.array([1, -2, 6]))
+
+    def test_empty_token_sequence_rejected(self):
+        model = net.ResampleNetwork(token_spec(), seed=8)
+        with pytest.raises(ValueError, match=r"non-empty 1-d integer sequence, got uint8 of "
+                                             r"shape \(0,\)"):
+            model.predict(np.array([], dtype=np.uint8))
+
+    def test_empty_features_rejected(self):
+        model = net.ResampleNetwork(feature_spec(), seed=8)
+        with pytest.raises(ValueError, match=r"non-empty \[L, 4\] features, got \(0, 4\)"):
+            model.predict(np.zeros((0, 4)))
+
     def test_forward_deterministic(self):
         spec = feature_spec(depth=2)
         model = net.ResampleNetwork(spec, seed=9)
@@ -340,6 +358,25 @@ class TestPacked:
             packed = model.predict(net.Packed.of(seqs))
             for row, ids in zip(packed, seqs):
                 np.testing.assert_allclose(row, model.predict(ids), rtol=1e-12, atol=1e-14)
+
+    def test_logits_do_not_depend_on_the_id_dtype(self):
+        # Ids widen to intp only to index the embedding table, so narrow
+        # stored ids give the same bits as int64 ones.
+        model = net.ResampleNetwork(token_spec(depth=2, kappas=(None, 0.5)), seed=36)
+        r = np.random.default_rng(38)
+        seqs = [r.integers(0, 10, size=n) for n in (7, 12, 5)]
+        want_one = model.predict(seqs[0])
+        want_group, _ = model.forward(net.Packed.of(seqs))
+        for dtype in (np.uint8, np.uint16, np.int32, np.int64):
+            narrow = [ids.astype(dtype) for ids in seqs]
+            np.testing.assert_array_equal(model.predict(narrow[0]), want_one)
+            got, _ = model.forward(net.Packed.of(narrow))
+            np.testing.assert_array_equal(got.numpy(), want_group.numpy())
+
+    def test_packing_keeps_the_id_dtype(self):
+        for dtype in (np.uint8, np.uint16):
+            group = net.Packed.of([np.array([1, 2], dtype=dtype), np.array([3], dtype=dtype)])
+            assert group.rows.dtype == dtype
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):

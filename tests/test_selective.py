@@ -270,16 +270,16 @@ class TestLinearScan:
 
     def test_flush_both_taken_and_skipped(self, monkeypatch):
         # Decays of e^-10: products of up to 32 stay above the floor, so
-        # the passes building spans of 2 to 32 skip the masked write and
-        # those building 64 and 128 take it.
+        # the passes building spans of 2 to 32 skip the flush and those
+        # building 64 and 128 take it.
         flushed = []
-        copyto = np.copyto
+        flush = selective._flush_decays
 
-        def spy(dst, src, where=True, **kw):
-            flushed.append(len(dst))
-            return copyto(dst, src, where=where, **kw)
+        def spy(x):
+            flushed.append(len(x))
+            return flush(x)
 
-        monkeypatch.setattr(selective.np, "copyto", spy)
+        monkeypatch.setattr(selective, "_flush_decays", spy)
         T = 256
         decay = np.full((T, 2), np.exp(-10.0))
         selective._linear_scan(decay, np.ones((T, 2)), np.empty((T, 2)), T)

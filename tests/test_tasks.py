@@ -1,5 +1,7 @@
 """Tests for the sparse-signal dataset generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -59,3 +61,37 @@ class TestGeneration:
     def test_vocab_layout(self):
         t = tasks.SparseSignalTask(n_classes=4, noise_vocab=8)
         assert t.vocab_size == 12
+
+
+class TestTokenDtype:
+    """Ids are stored in the narrowest unsigned dtype that holds the
+    vocabulary; the values are those the int64 generator always drew."""
+
+    @pytest.mark.parametrize("noise_vocab, dtype", [(8, np.uint8), (252, np.uint8),
+                                                    (253, np.uint16), (300, np.uint16)])
+    def test_narrowest_unsigned_dtype(self, noise_vocab, dtype):
+        t = tasks.SparseSignalTask(seq_len=16, noise_vocab=noise_vocab, n_train=3, n_val=2)
+        train, val = tasks.gen_sparse_task(t)
+        assert {ex.tokens.dtype for ex in train + val} == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("task, digests", [
+        (tasks.SparseSignalTask(),
+         ("5eaebbf2ff94e5b64f2bd3f1bdbc5fc8cbad0798bf813da1cac47af5ebccbbbe",
+          "9411bad4d82149cf8998f5f45daa1ed6ee80b3b0febcc66478f3de9c41bfc731")),
+        (tasks.SparseSignalTask(seq_len=64, noise_vocab=300, n_train=12, n_val=6, seed=5),
+         ("54d6cc11ea24e5061b1c185fe3f45fb54f2162977202c9787caebd3661c4de2d",
+          "f72ddc0b862a1738f917f978ddc047184a9f2eef37f32fff79017dc1654cb34f")),
+    ])
+    def test_values_pinned_to_the_int64_stream(self, task, digests):
+        # Digests of the int64 tokens the generator stored before ids
+        # were narrowed: the draws and their order did not change.
+        for split, want in zip(tasks.gen_sparse_task(task), digests):
+            h = hashlib.sha256()
+            for ex in split:
+                h.update(ex.tokens.astype(np.int64).tobytes())
+            assert h.hexdigest() == want
+
+    def test_one_byte_per_token(self):
+        t = tasks.SparseSignalTask()
+        for split, n in zip(tasks.gen_sparse_task(t), (t.n_train, t.n_val)):
+            assert sum(ex.tokens.nbytes for ex in split) == n * t.seq_len
