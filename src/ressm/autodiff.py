@@ -18,6 +18,7 @@ Design constraints honoured throughout:
 from __future__ import annotations
 
 import ctypes
+import functools
 import platform
 
 import numpy as np
@@ -49,11 +50,7 @@ __all__ = [
     "reduce_sum",
     "reduce_mean",
     "reduce_max",
-    "segments",
-    "segment_lengths",
-    "segment_layout",
-    "padded",
-    "packed",
+    "Segments",
     "segment_mean",
     "cumsum",
     "gather_rows",
@@ -606,89 +603,95 @@ def reduce(kind: str, a, axis=None) -> Tensor:
     return _REDUCE[kind](a, axis=axis)
 
 
-def segments(starts, n: int) -> list[tuple[int, int]]:
-    """(start, stop) of each segment of ``n`` rows packed end to end,
-    given the segments' start rows (see ``segment_lengths``)."""
-    segment_lengths(starts, n)
-    return list(zip(starts, [*starts[1:], n]))
+class Segments:
+    """Sequences packed end to end along a row axis, the layout of
+    FlashAttention-2's varlen path and Mamba-2's ``seq_idx``, checked
+    once, here; every segmented op reads it as it is.  ``starts`` [S]
+    holds each one's first row: integers, the first 0, each greater than
+    the one before, the last below ``rows``.  ``lengths`` [S] counts each
+    one's rows and ``longest`` the longest's.  ``mask`` [S, longest] is
+    the padded layout that puts segment s in row s, its rows first;
+    boolean indexing runs in row order, so ``padded`` lays the packed
+    rows out and ``packed`` packs them back."""
+
+    def __init__(self, starts, rows: int):
+        bounds = np.array([*starts, rows])
+        if bounds.dtype.kind not in "iu" or {bool, np.bool_} & set(map(type, starts)):
+            raise ShapeError(f"segment starts {starts!r} of {rows!r} rows are not integers")
+        bounds = bounds.astype(np.intp, copy=False)
+        self.starts, self.lengths, self.rows = bounds[:-1], bounds[1:] - bounds[:-1], int(rows)
+        if len(bounds) < 2 or bounds[0] != 0 or self.lengths.min() < 1:
+            raise ShapeError(f"segment starts {starts!r} do not split {rows} rows")
+        self.longest = int(self.lengths.max())
+        self.starts.flags.writeable = self.lengths.flags.writeable = False
+
+    @classmethod
+    def check(cls, segs, rows: int) -> "Segments":
+        """``segs``, checked to split ``rows`` rows; None is one segment."""
+        if segs is None:
+            return cls((0,), rows)
+        if segs.rows != rows:
+            raise ShapeError(f"segments of {segs.rows} rows handed {rows} rows")
+        return segs
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        return np.arange(self.longest) < self.lengths[:, None]
+
+    def padded(self, rows, fill):
+        """Packed ``rows`` [R, ...] laid out [S, longest, ...], ``fill``
+        around them; with no padding, ``rows`` reshaped, a view."""
+        shape = (len(self), self.longest) + rows.shape[1:]
+        if self.rows == shape[0] * shape[1]:
+            return rows.reshape(shape)
+        out = np.full(shape, fill)
+        out[self.mask] = rows
+        return out
+
+    def packed(self, layout):
+        """The rows of a padded ``layout``, packed end to end."""
+        if self.rows == layout.shape[0] * layout.shape[1]:
+            return layout.reshape((-1,) + layout.shape[2:])
+        return layout[self.mask]
 
 
-def segment_lengths(starts, n: int) -> np.ndarray:
-    """Lengths [S] of the segments of ``n`` rows packed end to end, given
-    the segments' start rows: the first is 0, each later one is greater
-    than the one before, and every segment is non-empty."""
-    bounds = np.array([*starts, n], dtype=np.intp)
-    lengths = bounds[1:] - bounds[:-1]
-    if len(starts) == 0 or starts[0] != 0 or lengths.min() < 1:
-        raise ShapeError(f"segment starts {list(starts)} do not split {n} rows")
-    return lengths
-
-
-def segment_layout(starts, n: int):
-    """``segment_lengths``, and the [S, Lmax] mask of the padded layout
-    that puts segment s in row s, its rows first.  Boolean indexing runs
-    in row order, so ``padded[mask] = rows`` lays the packed rows out
-    and ``padded[mask]`` packs them back."""
-    lengths = segment_lengths(starts, n)
-    return lengths, np.arange(lengths.max()) < lengths[:, None]
-
-
-def padded(rows, mask, fill):
-    """``rows`` packed as ``mask`` says (``segment_layout``), laid out in
-    its padded layout with ``fill`` around them.  With no padding (every
-    segment as long as the longest) that is ``rows`` reshaped, a view."""
-    shape = mask.shape + rows.shape[1:]
-    if len(rows) == mask.size:
-        return rows.reshape(shape)
-    out = np.full(shape, fill)
-    out[mask] = rows
-    return out
-
-
-def packed(layout, mask):
-    """The rows of a padded ``layout`` (``padded``), packed end to end."""
-    if mask[:, -1].all():  # no padding
-        return layout.reshape((-1,) + layout.shape[2:])
-    return layout[mask]
-
-
-def segment_mean(a, starts) -> Tensor:
-    """Mean over the rows of each segment of [R, ...]: one output row per
-    segment start (see ``segments``), all summed at once in the padded
-    layout (``segment_layout``) with -0.0 pads, which change no sum.
-    Rows of two or more entries are summed one after another, as
-    ``np.mean`` sums them, so each mean is the segment's own
-    ``reduce_mean``, bit for bit.  Rows of one entry numpy sums pairwise
-    in blocks set by the padded length: there a segment shorter than the
-    longest agrees with its own mean to rounding only."""
+def segment_mean(a, segs=None) -> Tensor:
+    """Mean over the rows of each segment of [R, ...] (``Segments``; None
+    is one segment): one output row per segment, all summed at once in
+    the padded layout with -0.0 pads, which change no sum.  Rows of two
+    or more entries are summed one after another, as ``np.mean`` sums
+    them, so each mean is the segment's own ``reduce_mean``, bit for
+    bit.  Rows of one entry numpy sums pairwise in blocks set by the
+    padded length: there a segment shorter than the longest agrees with
+    its own mean to rounding only."""
     a = _lift(a)
-    counts, mask = segment_layout(starts, a.shape[0])
-    per_row = counts.reshape((-1,) + (1,) * (a.ndim - 1))
-    out = padded(a.data, mask, -0.0).sum(axis=1) / per_row
+    segs = Segments.check(segs, a.shape[0])
+    per_row = segs.lengths.reshape((-1,) + (1,) * (a.ndim - 1))
+    out = segs.padded(a.data, -0.0).sum(axis=1) / per_row
     return custom_op("segment_mean", out,
-                     [(a, lambda g: np.repeat(g / per_row, counts, axis=0))])
+                     [(a, lambda g: np.repeat(g / per_row, segs.lengths, axis=0))])
 
 
-def _segment_cumsum(x, mask):
-    """One running sum per segment of the packed 1-d ``x``: ``np.cumsum``
-    along each row of the zero-padded layout, which adds in order, one
-    entry after another, so each segment gets the bits of its own
-    ``np.cumsum``."""
-    return packed(np.cumsum(padded(x, mask, 0.0), axis=1), mask)
-
-
-def cumsum(a, starts=(0,)) -> Tensor:
-    """Running sum of a 1-d tensor, restarted at each segment start (see
-    ``segments``); each segment gets its own ``np.cumsum``'s bits.  The
-    backward is the running sum of the reversed gradient: reversed, the
-    packed rows are the segments in reverse order, each reversed, whose
-    layout is the mask's rows in reverse order."""
+def cumsum(a, segs=None) -> Tensor:
+    """Running sum of a 1-d tensor, restarted at each segment (``Segments``;
+    None is one segment).  ``np.cumsum`` runs along each row of the
+    padded layout and adds in order, one entry after another, so each
+    segment gets the bits of its own ``np.cumsum``.  The backward is the
+    running sum of each padded row of the gradient reversed, its -0.0
+    pads first, which change no entry."""
     a = _lift(a)
     if a.ndim != 1:
         raise ShapeError(f"cumsum expects 1-d input, got {a.shape}")
-    _, mask = segment_layout(starts, a.shape[0])
-    return custom_op("cumsum", _segment_cumsum(a.data, mask),
-                     [(a, lambda g: _segment_cumsum(g[::-1], mask[::-1])[::-1])])
+    segs = Segments.check(segs, a.shape[0])
+
+    def da(g):
+        return segs.packed(np.cumsum(segs.padded(g, -0.0)[:, ::-1], axis=1)[:, ::-1])
+
+    return custom_op("cumsum", segs.packed(np.cumsum(segs.padded(a.data, 0.0), axis=1)),
+                     [(a, da)])
 
 
 def gather_rows(a, indices) -> Tensor:

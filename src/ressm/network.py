@@ -304,11 +304,15 @@ def weight_layout(spec: NetworkSpec):
 @dataclass(frozen=True)
 class Packed:
     """Sequences packed end to end along the row axis: ``rows`` holds
-    their token ids [R] or features [R, D] concatenated, ``starts`` each
-    one's first row (see ``autodiff.segments``)."""
+    their token ids [R] or features [R, D] concatenated, ``segs``
+    (``autodiff.Segments``) where each one starts and how long it is."""
 
     rows: object
-    starts: tuple
+    segs: ad.Segments
+
+    def __post_init__(self):
+        if not isinstance(self.segs, ad.Segments):
+            raise TypeError(f"Packed takes autodiff.Segments, got {type(self.segs).__name__}")
 
     @classmethod
     def of(cls, sequences) -> "Packed":
@@ -316,8 +320,12 @@ class Packed:
         seqs = [np.asarray(x) for x in sequences]
         if not seqs or any(len(x) == 0 for x in seqs):
             raise ValueError("a packed group takes one or more non-empty sequences")
-        starts = np.cumsum([0] + [len(x) for x in seqs[:-1]])
-        return cls(np.concatenate(seqs), tuple(starts.tolist()))
+        for i, x in enumerate(seqs):
+            if x.shape[1:] != seqs[0].shape[1:]:
+                raise ValueError(f"sequence {i} has shape {x.shape}, sequence 0 {seqs[0].shape}: "
+                                 "packed sequences must agree in rank and width")
+        lengths = [len(x) for x in seqs]
+        return cls(np.concatenate(seqs), ad.Segments(np.cumsum([0] + lengths[:-1]), sum(lengths)))
 
 
 class _Binder:
@@ -369,12 +377,13 @@ class ResampleNetwork:
         float array (or Tensor) for feature models; logits are then [C].
         A ``Packed`` group of them runs as one pass with [G, C] logits.
         """
-        group = x if isinstance(x, Packed) else Packed(x, (0,))
+        rows, segs = (x.rows, x.segs) if isinstance(x, Packed) else (x, None)
         bind = _Binder(self.params, tape)
-        t = self._embed(group.rows, bind)
+        t = self._embed(rows, bind)
+        segs = ad.Segments.check(segs, t.shape[0])
         for i in range(self.spec.depth):
-            t = self._block(i, t, bind, train, group.starts)
-        logits = self._head(t, bind, group.starts)
+            t = self._block(i, t, bind, train, segs)
+        logits = self._head(t, bind, segs)
         if not isinstance(x, Packed):
             logits = ad.reshape(logits, (self.spec.n_classes,))
         return logits, bind.bound
@@ -390,7 +399,7 @@ class ResampleNetwork:
         x_t = x if isinstance(x, ad.Tensor) else ad.constant(np.asarray(x, dtype=np.float64))
         if x_t.ndim != 2 or x_t.shape[1] != self.spec.h_dim:
             raise ValueError(f"expected [L, {self.spec.h_dim}] block input, got {x_t.shape}")
-        out = self._block(index, x_t, bind, train, (0,))
+        out = self._block(index, x_t, bind, train, ad.Segments((0,), x_t.shape[0]))
         return (out, bind.bound) if tape is not None else out
 
     def _embed(self, x, bind):
@@ -426,7 +435,7 @@ class ResampleNetwork:
             )
         return x_t
 
-    def _block(self, i, x_t, bind, train, starts):
+    def _block(self, i, x_t, bind, train, segs):
         spec = self.spec.block
         widths = self.spec.branch_widths()
         inner = self._norm(i, x_t, bind, train) if spec.norm_position == "pre" else x_t
@@ -435,50 +444,49 @@ class ResampleNetwork:
         for b, br in enumerate(spec.branches):
             xb = ad.slice_along(inner, 1, off, off + widths[b])
             off += widths[b]
-            parts.append(self._branch(i, b, br, xb, bind, starts))
+            parts.append(self._branch(i, b, br, xb, bind, segs))
         out = ad.add(x_t, ad.concat(parts, axis=1))
         if spec.norm_position == "post_skip":
             out = self._norm(i, out, bind, train)
         return out
 
-    def _branch(self, i, b, br: BranchSpec, xb, bind, starts):
+    def _branch(self, i, b, br: BranchSpec, xb, bind, segs):
         pre = f"block{i}.br{b}."
         if br.kappa is None:
-            return self._ssm_layer(pre, br, xb, bind, starts)
+            return self._ssm_layer(pre, br, xb, bind, segs)
 
         delta_base = ad.softplus(bind(pre + "res.raw_delta"))
         deltas = rs.interval_map(xb, bind(pre + "res.theta_delta"), delta_base, br.kappa)
         delta = float(delta_base.data)
         # One plan routes the whole group, each sequence on its own
-        # intervals.  A one-sequence forward passes no ``starts``: the
+        # intervals.  A one-sequence forward passes no ``segs``: the
         # benchmark's routing check (bench/checks.recorded_plans) records
         # make_plan through a three-argument wrapper until it learns
         # group plans (ROADMAP direction 1).
-        group = {} if len(starts) == 1 else {"starts": starts}
+        group = {} if len(segs) == 1 else {"segs": segs}
         plan = rs.make_plan(deltas.data, delta, br.window_k, **group)
-        src_times = ad.cumsum(deltas, starts)
-        dst_times = ad.mul(ad.constant(rs.grid_steps(plan)), delta_base)
+        src_times = ad.cumsum(deltas, segs)
+        dst_times = ad.mul(ad.constant(rs.grid_steps(plan.dst)), delta_base)
         xc = rs.compress_tracked(
             xb, plan, bind(pre + "res.theta_gamma"), bind(pre + "res.mus"),
             src_times, dst_times,
         )
-        yc = self._ssm_layer(pre, br, xc, bind, plan.dst_starts)
+        yc = self._ssm_layer(pre, br, xc, bind, plan.dst)
         return rs.decompress_tracked(yc, plan)
 
-    def _ssm_layer(self, pre, br: BranchSpec, u_t, bind, starts):
+    def _ssm_layer(self, pre, br: BranchSpec, u_t, bind, segs):
         if not br.selective:
             return fixed_step_conv(bind(pre + "ssm.rho"), bind(pre + "ssm.raw_delta"),
-                                   bind(pre + "ssm.b"), bind(pre + "ssm.c"), u_t, starts=starts)
+                                   bind(pre + "ssm.b"), bind(pre + "ssm.c"), u_t, segs=segs)
         return selective_layer(bind(pre + "ssm.rho"), bind(pre + "ssm.theta_b"),
                                bind(pre + "ssm.theta_c"), bind(pre + "ssm.theta_delta"),
-                               bind(pre + "ssm.delta_base"), u_t, starts=starts)
+                               bind(pre + "ssm.delta_base"), u_t, segs=segs)
 
-    def _head(self, t, bind, starts):
+    def _head(self, t, bind, segs):
         """[G, C] logits, one row per sequence."""
         if self.spec.pooling == "mean":
-            pooled = ad.segment_mean(t, starts)
+            pooled = ad.segment_mean(t, segs)
         else:
-            last_rows = ad.segment_lengths(starts, t.shape[0]).cumsum() - 1
-            pooled = ad.gather_rows(t, last_rows)
+            pooled = ad.gather_rows(t, segs.starts + segs.lengths - 1)
         logits = ad.matmul(pooled, bind("head.w"))
-        return ad.add(logits, ad.tile_rows(bind("head.b"), len(starts)))
+        return ad.add(logits, ad.tile_rows(bind("head.b"), len(segs)))

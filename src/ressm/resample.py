@@ -110,26 +110,28 @@ class ResampleConfig:
 class ResamplePlan:
     """Frozen routing between the source times and the uniform grid.
 
-    A plan ``make_plan`` makes with several ``starts`` routes sequences
-    packed end to end: ``src_starts`` and ``dst_starts`` hold each one's
-    first source row and first grid row, and each keeps its own time
-    axes.
+    A plan ``make_plan`` makes with ``segs`` routes sequences packed end
+    to end: ``src`` and ``dst`` (``autodiff.Segments``) lay out each
+    one's source rows and grid rows, and each keeps its own time axes.
+    Left None, each is one sequence.
     """
 
     src_times: np.ndarray
     dst_times: np.ndarray
     dst_len: int
     neighbors: np.ndarray | None = None  # [dst_len, K] source indices, time-ordered
-    src_starts: tuple = (0,)
-    dst_starts: tuple = (0,)
+    src: ad.Segments | None = None
+    dst: ad.Segments | None = None
 
     def __post_init__(self):
         self.src_times = np.asarray(self.src_times, dtype=np.float64)
         self.dst_times = np.asarray(self.dst_times, dtype=np.float64)
         if self.dst_len < 1 or self.dst_len > len(self.src_times):
             raise ValueError("dst_len must lie in [1, source length]")
-        if len(self.src_starts) != len(self.dst_starts):
-            raise ValueError("src_starts and dst_starts must count the same sequences")
+        self.src = ad.Segments.check(self.src, len(self.src_times))
+        self.dst = ad.Segments.check(self.dst, self.dst_len)
+        if len(self.src) != len(self.dst):
+            raise ValueError("src and dst must count the same sequences")
         if self.neighbors is not None:
             self.neighbors = np.asarray(self.neighbors, dtype=np.intp)
             if self.neighbors.min() < 0 or self.neighbors.max() >= len(self.src_times):
@@ -232,39 +234,30 @@ def build_grid(deltas: np.ndarray, delta_base: float) -> ResamplePlan:
     return ResamplePlan(src_times=src_times, dst_times=dst_times, dst_len=dst_len)
 
 
-def _grid(deltas, delta_base, starts):
-    """``build_grid`` for several sequences packed end to end from
-    ``starts`` (see ``autodiff.segments``), each on its own time axis,
-    with what routing reuses: the sources' ``segment_layout``, their
-    last times and each sequence's grid length."""
+def _grid(deltas, delta_base, segs):
+    """``build_grid`` for several sequences packed end to end as ``segs``
+    says, each on its own time axis, with what routing reuses: the
+    sources' last times."""
     deltas = _intervals(deltas, delta_base)
-    lengths, mask = ad.segment_layout(starts, len(deltas))
+    segs = ad.Segments.check(segs, len(deltas))
     # One np.cumsum per row of the zero-padded layout: each sequence's own
     # bits, and its last time repeated to the end of its row.
-    times = ad.padded(deltas, mask, 0.0).cumsum(axis=1)
+    times = segs.padded(deltas, 0.0).cumsum(axis=1)
     last = times[:, -1]
-    grid = np.minimum(last / delta_base + _GRID_EPS, lengths)
+    grid = np.minimum(last / delta_base + _GRID_EPS, segs.lengths)
     grid_lengths = np.maximum(grid.astype(np.intp), 1)
     ends = grid_lengths.cumsum()
-    dst_starts = ends - grid_lengths
-    steps = _steps(dst_starts, grid_lengths, int(ends[-1]))
-    steps *= delta_base
-    plan = ResamplePlan(src_times=ad.packed(times, mask), dst_times=steps,
-                        dst_len=len(steps), src_starts=tuple(starts),
-                        dst_starts=tuple(dst_starts.tolist()))
-    return plan, lengths, mask, last, grid_lengths
+    dst = ad.Segments(ends - grid_lengths, int(ends[-1]))
+    plan = ResamplePlan(src_times=segs.packed(times), dst_times=grid_steps(dst) * delta_base,
+                        dst_len=dst.rows, src=segs, dst=dst)
+    return plan, last
 
 
-def _steps(starts, lengths, n):
-    """1, 2, 3, ... restarted at each of ``starts``, as n floats."""
-    return np.arange(1.0, n + 1) - starts.repeat(lengths)
-
-
-def grid_steps(plan: ResamplePlan) -> np.ndarray:
-    """Each grid point's place in its own sequence's grid, from 1: grid
-    point l lies at ``grid_steps(plan)[l] * delta``."""
-    lengths = ad.segment_lengths(plan.dst_starts, plan.dst_len)
-    return _steps(np.asarray(plan.dst_starts), lengths, plan.dst_len)
+def grid_steps(dst: ad.Segments) -> np.ndarray:
+    """Each grid point's place in its own sequence's grid, from 1, given
+    a plan's ``dst``: grid point l lies at ``grid_steps(plan.dst)[l] *
+    delta``."""
+    return np.arange(1.0, dst.rows + 1) - dst.starts.repeat(dst.lengths)
 
 
 def knn_indices(dst_time: float, src_times: np.ndarray, k: int) -> np.ndarray:
@@ -304,11 +297,11 @@ def _search(times, times_lengths, query, query_lengths):
 
 
 def make_plan(deltas: np.ndarray, delta_base: float, window_k: int,
-              starts=(0,)) -> ResamplePlan:
+              segs=None) -> ResamplePlan:
     """Grid plus the frozen neighbor windows for every grid point, for
-    one sequence or for several packed end to end from ``starts`` (see
-    ``autodiff.segments``), each on its own time axis; each grid point's
-    window lies in its own sequence.
+    one sequence or for several packed end to end as ``segs``
+    (``autodiff.Segments``) says, each on its own time axis; each grid
+    point's window lies in its own sequence.
 
     Row l of ``neighbors`` equals ``knn_indices(dst_times[l], src_times,
     window_k)`` over its sequence's sources, shifted by its first row.
@@ -323,18 +316,19 @@ def make_plan(deltas: np.ndarray, delta_base: float, window_k: int,
     their sequence's sources.  A sequence of at most K sources gives
     each of its grid points every source, the last repeated.
 
-    One sequence is laid out on its own, without the group's padded
-    layout and search keys, whose fixed cost would outweigh its work.
+    One sequence (no ``segs``) is laid out on its own, without the
+    group's padded layout and search keys, whose fixed cost would
+    outweigh its work.
     """
     k = window_k
     if k < 1:
         raise ValueError(f"window_k must be at least 1, got {k}")
-    if len(starts) == 1:
+    if segs is None:
         return _sequence_plan(deltas, delta_base, k)
-    plan, lengths, mask, last, grid_lengths = _grid(deltas, delta_base, starts)
+    plan, last = _grid(deltas, delta_base, segs)
     src, dst = plan.src_times, plan.dst_times
-    n_seq, longest = mask.shape
-    first = np.asarray(plan.src_starts)
+    n_seq, longest = len(segs), segs.longest
+    first, lengths, grid_lengths = segs.starts, segs.lengths, plan.dst.lengths
     # Row s of ``padded`` is sequence s padded as ``_sequence_plan`` pads
     # one sequence, then padded on to the common width; columns past the
     # sequence's own padding are never read.
@@ -343,7 +337,7 @@ def make_plan(deltas: np.ndarray, delta_base: float, window_k: int,
     padded = far * (np.arange(-k, width - k) - lengths[:, None])
     padded += last[:, None]
     padded[:, : k + 1] = far * np.arange(-k - 1, 0)
-    padded[:, k + 1 : k + 1 + longest][mask] = src
+    padded[:, k + 1 : k + 1 + longest][segs.mask] = src
     padded = padded.reshape(-1)
     # Every left pad lies below a grid point and every right pad above
     # it, so a grid point's place in its own row is K + 1 past its
@@ -361,7 +355,7 @@ def make_plan(deltas: np.ndarray, delta_base: float, window_k: int,
         if len(tied):
             # A stable sort keeps the lower index first among equals;
             # the infinite padding sorts after every source.
-            far_src = ad.padded(src, mask, np.inf)[seq[tied]]
+            far_src = segs.padded(src, np.inf)[seq[tied]]
             order = np.argsort(np.abs(far_src - dst[tied, None]), axis=1, kind="stable")
             chosen[tied] = np.sort(order[:, :k], axis=1) + first[seq[tied], None]
         in_short = short[seq]
@@ -436,9 +430,7 @@ def closest_grid_index(plan: ResamplePlan) -> np.ndarray:
     sequence's grid (``_search``); memory is O(L).
     """
     src, dst = plan.src_times, plan.dst_times
-    lengths = ad.segment_lengths(plan.src_starts, len(src))
-    grid_lengths = ad.segment_lengths(plan.dst_starts, plan.dst_len)
-    grid_starts = np.asarray(plan.dst_starts)
+    lengths, grid_starts, grid_lengths = plan.src.lengths, plan.dst.starts, plan.dst.lengths
     first = grid_starts.repeat(lengths)  # each source's first and last grid point
     last = (grid_starts + grid_lengths - 1).repeat(lengths)
     hi = np.minimum(_search(dst, grid_lengths, src, lengths), last)

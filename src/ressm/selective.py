@@ -127,7 +127,7 @@ def _selectors(W, N):
 # once by a selector, it is a plain [T, W*N] operand, reused.  Passes
 # write into arrays whose last read is behind them where one is at hand:
 # fewer distinct [T, W*N] arrays mean fewer passes over memory.
-def _scan_forward(a, deltas, b_seq, c_seq, u, starts, longest):
+def _scan_forward(a, deltas, b_seq, c_seq, u, segs):
     by_w, by_n = _selectors(*a.shape)
     z = np.multiply(deltas[:, None], a.reshape(1, -1))  # [T, W*N]
     phis = phi(z)
@@ -136,13 +136,13 @@ def _scan_forward(a, deltas, b_seq, c_seq, u, starts, longest):
     u_w = u @ by_w
     drive *= u_w
     decay = np.exp(z, out=z)
-    decay[starts] = 0.0  # each segment starts from a zero state
-    hs = _linear_scan(decay, drive, u_w, longest)
+    decay[segs.starts] = 0.0  # each segment starts from a zero state
+    hs = _linear_scan(decay, drive, u_w, segs.longest)
     ys = np.einsum("twn,tn->tw", hs.reshape(-1, *a.shape), c_seq)
     return ys, (phis, hs)
 
 
-def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
+def _scan_backward(dy, a, deltas, b_seq, c_seq, u, segs, saved):
     phis, hs = saved
     by_w, by_n = _selectors(*a.shape)
     z = np.multiply(deltas[:, None], a.reshape(1, -1))
@@ -150,7 +150,7 @@ def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
     # d drive_t / dz_t = phi'(z_t) u_t (delta_t b_t), phi' from the phi
     # and e^z in hand.
     dz = phi_prime(z, phis, es)
-    es[starts] = 0.0  # no state crosses into a segment, nor gradient out
+    es[segs.starts] = 0.0  # no state crosses into a segment, nor gradient out
     # e_t h_{t-1}: times the state gradient, the decay's share of dz.
     # Taken now, since the scan below overwrites es.
     carried = np.multiply(es[1:], hs[:-1], out=z[1:])
@@ -160,7 +160,7 @@ def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
     g = c_seq @ by_n
     g *= dy_w
     dc = np.multiply(hs, dy_w, out=dy_w) @ by_n.T
-    g = _linear_scan(es, g, dy_w, longest, reverse=True)
+    g = _linear_scan(es, g, dy_w, segs.longest, reverse=True)
     u_w = np.matmul(u, by_w, out=es)
     sb_n = np.matmul(deltas[:, None] * b_seq, by_n, out=dy_w)
     carried *= g[1:]
@@ -178,14 +178,7 @@ def _scan_backward(dy, a, deltas, b_seq, c_seq, u, starts, longest, saved):
     return da, dd, db, dc, du
 
 
-def _scan_rows(starts, T):
-    """The first row of each packed segment (see ``autodiff.segments``)
-    and the length of the longest: where the scan restarts, and how many
-    doubling passes it needs."""
-    return list(starts), int(ad.segment_lengths(starts, T).max())
-
-
-def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
+def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, segs=None) -> ad.Tensor:
     """Run W parallel single-input recurrences with shared per-step params.
 
     Shapes: a_diag [W, N] (one diagonal system per channel), deltas [T]
@@ -198,9 +191,9 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
     y_t = h_t . c_t.  States start at zero.  The whole scan is one tape
     node; gradients flow to all five inputs.
 
-    ``starts`` holds the first row of each of several sequences packed
-    end to end along T (see ``autodiff.segments``); the state restarts
-    from zero at each, so every segment scans as if on its own.
+    ``segs`` (``autodiff.Segments``; None is one sequence) lays out
+    sequences packed end to end along T; the state restarts from zero at
+    each one's first row, so every segment scans as if on its own.
 
     The recurrence runs by recursive doubling in ceil(log2 T) vectorised
     passes, T the longest segment, forward and, for the gradient,
@@ -221,24 +214,25 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, starts=(0,)) -> ad.Tensor:
             raise ad.ShapeError("scan operand shapes disagree")
         if np.any(d < 0):
             raise ValueError("scan intervals must be non-negative")
-        rows, longest = _scan_rows(starts, T)
+        layout = ad.Segments.check(segs, T)
 
         with np.errstate(all="ignore"):  # non-finite results surface via custom_op
-            ys, saved = _scan_forward(a, d, b, c, uu, rows, longest)
-        return ys, lambda g: _scan_backward(g, a, d, b, c, uu, rows, longest, saved)
+            ys, saved = _scan_forward(a, d, b, c, uu, layout)
+        return ys, lambda g: _scan_backward(g, a, d, b, c, uu, layout, saved)
 
     return ad.fused_op("ssm_scan", forward, a_diag, deltas, b_seq, c_seq, u)
 
 
 def selective_layer(rho, theta_b, theta_c, theta_delta, delta_base, u, *,
-                    starts=(0,)) -> ad.Tensor:
+                    segs=None) -> ad.Tensor:
     """The selective layer: ``ssm_scan`` on parameters computed from its
     input and weights, as one tape node.
 
     Shapes: rho, theta_b and theta_c [W, N], theta_delta [W], delta_base
     a scalar, u [T, W].  Returns y [T, W].  The scan runs on a = -exp(rho),
     b_t = u_t theta_b, c_t = u_t theta_c and delta_t = softplus(u_t .
-    theta_delta + delta_base), from a zero state at each of ``starts``.
+    theta_delta + delta_base), from a zero state at each segment of
+    ``segs``.
     The backward chains the scan's gradients through those maps: a's by
     a, the intervals' by sigmoid of their preactivation, b's, c's and
     the preactivation's through the three products, with u's four terms
@@ -253,7 +247,7 @@ def selective_layer(rho, theta_b, theta_c, theta_delta, delta_base, u, *,
             raise ad.ShapeError(f"rho must be [W={W}, N], got {rh.shape}")
         if tb.shape != rh.shape or tc.shape != rh.shape or td.shape != (W,) or base.size != 1:
             raise ad.ShapeError("selective-layer operand shapes disagree")
-        rows, longest = _scan_rows(starts, T)
+        layout = ad.Segments.check(segs, T)
         td_col = td.reshape(W, 1)
         with np.errstate(all="ignore"):  # non-finite results surface via custom_op
             a = -np.exp(rh)
@@ -262,11 +256,10 @@ def selective_layer(rho, theta_b, theta_c, theta_delta, delta_base, u, *,
             b_seq, c_seq = uu @ tb, uu @ tc
             pre = (uu @ td_col).reshape(T) + base
             deltas = ad._softplus(pre)
-            ys, saved = _scan_forward(a, deltas, b_seq, c_seq, uu, rows, longest)
+            ys, saved = _scan_forward(a, deltas, b_seq, c_seq, uu, layout)
 
         def backward(dy):
-            da, dd, d_b, d_c, du = _scan_backward(dy, a, deltas, b_seq, c_seq, uu, rows,
-                                                  longest, saved)
+            da, dd, d_b, d_c, du = _scan_backward(dy, a, deltas, b_seq, c_seq, uu, layout, saved)
             d_pre = dd * ad._sigmoid(pre)
             d_col = d_pre.reshape(T, 1)
             du = du + d_col @ td_col.T
@@ -288,19 +281,19 @@ def _fft_length(m):
     return min(p << ((m - 1) // p).bit_length() for p in (1, 3, 9, 27))
 
 
-def _spread(x, mask):
+def _spread(x, segs):
     """Packed [T, W] rows as [S, W, L]: segment s in row s, zero-padded
-    (``autodiff.segment_layout``), contiguous, as the FFT reads it
+    (``autodiff.Segments.padded``), contiguous, as the FFT reads it
     fastest."""
-    return np.ascontiguousarray(ad.padded(x, mask, 0.0).transpose(0, 2, 1))
+    return np.ascontiguousarray(segs.padded(x, 0.0).transpose(0, 2, 1))
 
 
-def _gather(x, mask):
+def _gather(x, segs):
     """[S, W, >= L] back to packed [T, W] rows; ``_spread``'s inverse."""
-    return ad.packed(x[:, :, : mask.shape[1]].transpose(0, 2, 1), mask)
+    return segs.packed(x[:, :, : segs.longest].transpose(0, 2, 1))
 
 
-def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
+def fixed_step_conv(rho, raw_delta, b, c, u, *, segs=None) -> ad.Tensor:
     """The fixed-step layer: W diagonal systems with one interval and one
     input and output map for every step, from their weights.
 
@@ -308,8 +301,8 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
     Returns y [T, W].  With a = -exp(rho), delta = softplus(raw_delta)
     and z = delta * a, it is ``ssm_scan`` on a, delta at every step and
     b and c at every row: h_t = e^z h_{t-1} + phi(z) delta b u_t and
-    y_t = c . h_t, from a zero state at each of ``starts`` (see
-    ``autodiff.segments``).  Unrolled, that is the causal convolution of
+    y_t = c . h_t, from a zero state at each segment of ``segs`` (see
+    ``ssm_scan``).  Unrolled, that is the causal convolution of
     each segment of u with K[w, j] = sum_n phi(z) delta b_n c_n e^{jz}.
     Powers under ~1.5e-154, the scan's decay floor, are exact zeros, and
     np.exp runs only on the rest, so K ends where the slowest mode's
@@ -329,8 +322,8 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
         N = rh.shape[1]
         if rd.size != 1 or bv.shape != (N,) or cv.shape != (N,):
             raise ad.ShapeError("fixed-step operand shapes disagree")
-        _, mask = ad.segment_layout(starts, T)
-        L = mask.shape[1]
+        layout = ad.Segments.check(segs, T)
+        L = layout.longest
 
         with np.errstate(all="ignore"):  # non-finite results surface via custom_op
             a = -np.exp(rh.reshape(-1))
@@ -352,12 +345,12 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, starts=(0,)) -> ad.Tensor:
             by_w, _ = _selectors(W, N)
             n = _fft_length(L + span - 1)  # nothing wraps round
             kf = np.fft.rfft((by_w * coef) @ powers, n)  # [W, n//2 + 1]
-            uf = np.fft.rfft(_spread(uu, mask), n)
-            ys = _gather(np.fft.irfft(uf * kf, n), mask)
+            uf = np.fft.rfft(_spread(uu, layout), n)
+            ys = _gather(np.fft.irfft(uf * kf, n), layout)
 
         def backward(dy):
-            dyf = np.fft.rfft(_spread(dy, mask), n)
-            du = _gather(np.fft.irfft(dyf * kf.conj(), n), mask)
+            dyf = np.fft.rfft(_spread(dy, layout), n)
+            du = _gather(np.fft.irfft(dyf * kf.conj(), n), layout)
             dk = np.fft.irfft(np.einsum("swf,swf->wf", dyf, uf.conj()), n)[:, :span]
             # K[w, j] = sum_n coef e^{jz}: through the powers, dz takes
             # j e^{jz}; through coef = phi(z) delta b c, phi'(z).

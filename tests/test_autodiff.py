@@ -219,6 +219,11 @@ class TestReduceAndLoss:
         assert err < 1e-4
 
 
+def bounds(starts, n):
+    """(start, stop) of each of the segments of ``n`` rows from ``starts``."""
+    return list(zip(starts, [*starts[1:], n]))
+
+
 class TestExtendedOps:
     def test_cumsum_values_and_gradient(self):
         np.testing.assert_array_equal(ad.cumsum(ad.constant([1.0, 2.0, 3.0])).numpy(), [1.0, 3.0, 6.0])
@@ -231,23 +236,23 @@ class TestExtendedOps:
     def test_segmented_cumsum_restarts_at_each_start(self, starts):
         r = rng(32)
         x = r.normal(size=9)
-        bounds = ad.segments(starts, 9)
-        want = np.concatenate([np.cumsum(x[lo:hi]) for lo, hi in bounds])
-        np.testing.assert_array_equal(ad.cumsum(ad.constant(x), starts).numpy(), want)
+        segs = ad.Segments(starts, 9)
+        want = np.concatenate([np.cumsum(x[lo:hi]) for lo, hi in bounds(starts, 9)])
+        np.testing.assert_array_equal(ad.cumsum(ad.constant(x), segs).numpy(), want)
         w = ad.constant(r.normal(size=9))
-        err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.cumsum(t, starts), w)), x)
+        err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.cumsum(t, segs), w)), x)
         assert err < 1e-6
 
     def test_segment_mean_values_and_gradient(self):
         r = rng(33)
         x = r.normal(size=(7, 3))
-        starts = (0, 2, 3)
+        segs = ad.Segments((0, 2, 3), 7)
         want = np.stack([x[0:2].mean(axis=0), x[2:3].mean(axis=0), x[3:7].mean(axis=0)])
-        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x), starts).numpy(), want)
-        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x), (0,)).numpy()[0],
+        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x), segs).numpy(), want)
+        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x)).numpy()[0],
                                       ad.reduce_mean(ad.constant(x), axis=0).numpy())
         w = ad.constant(r.normal(size=(3, 3)))
-        err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.segment_mean(t, starts), w)), x)
+        err = ad.grad_check(lambda t: ad.reduce_sum(ad.mul(ad.segment_mean(t, segs), w)), x)
         assert err < 1e-6
 
     @settings(max_examples=100, deadline=None)
@@ -260,7 +265,8 @@ class TestExtendedOps:
         x = r.normal(size=(sum(lengths), H)) * 10.0 ** r.uniform(-3, 3, size=(sum(lengths), 1))
         x[r.random(x.shape) < 0.2] = -0.0
         starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
-        bounds = ad.segments(starts, len(x))
+        segs = ad.Segments(starts, len(x))
+        split = bounds(starts, len(x))
 
         def bits(a):
             return np.ascontiguousarray(a).view(np.int64)
@@ -268,28 +274,54 @@ class TestExtendedOps:
         col = x[:, 0]
         tape = ad.Tape()
         t = tape.leaf(col)
-        out = ad.cumsum(t, starts)
-        want = np.concatenate([np.cumsum(col[lo:hi]) for lo, hi in bounds])
+        out = ad.cumsum(t, segs)
+        want = np.concatenate([np.cumsum(col[lo:hi]) for lo, hi in split])
         np.testing.assert_array_equal(bits(out.numpy()), bits(want))
         g = x[:, 1]
         tape.backward(ad.reduce_sum(ad.mul(out, ad.constant(g))))
-        want = np.concatenate([np.cumsum(g[lo:hi][::-1])[::-1] for lo, hi in bounds])
+        want = np.concatenate([np.cumsum(g[lo:hi][::-1])[::-1] for lo, hi in split])
         np.testing.assert_array_equal(bits(tape.grad(t)), bits(want))
 
-        want = np.stack([x[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in bounds])
-        np.testing.assert_array_equal(bits(ad.segment_mean(ad.constant(x), starts).numpy()),
+        want = np.stack([x[lo:hi].sum(axis=0) / (hi - lo) for lo, hi in split])
+        np.testing.assert_array_equal(bits(ad.segment_mean(ad.constant(x), segs).numpy()),
                                       bits(want))
 
     def test_segment_mean_of_one_column_alone_is_reduce_mean(self):
         x = rng(35).normal(size=(37, 1))
-        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x), (0,)).numpy()[0],
+        np.testing.assert_array_equal(ad.segment_mean(ad.constant(x)).numpy()[0],
                                       ad.reduce_mean(ad.constant(x), axis=0).numpy())
 
     @pytest.mark.parametrize("starts", [(), (1, 3), (0, 3, 3), (0, 2, 1), (0, 9)])
     def test_segments_rejects_bad_starts(self, starts):
-        for split in (ad.segments, ad.segment_lengths, ad.segment_layout):
-            with pytest.raises(ad.ShapeError, match="segment starts"):
-                split(starts, 9)
+        with pytest.raises(ad.ShapeError, match="segment starts"):
+            ad.Segments(starts, 9)
+
+    @pytest.mark.parametrize("starts", [(0, 5.5), (0, 5.7), np.array([0.0, 5.0]), (0, True),
+                                        (False, 5), np.array([True, False])])
+    def test_segments_rejects_starts_that_are_not_integers(self, starts):
+        # A float start used to be truncated by the index cast: (0, 5.5)
+        # ran as (0, 5).
+        with pytest.raises(ad.ShapeError, match=r"segment starts .* not integers"):
+            ad.Segments(starts, 10)
+
+    def test_segments_layout(self):
+        segs = ad.Segments(np.array([0, 2, 3], dtype=np.int32), 7)
+        assert len(segs) == 3 and (segs.rows, segs.longest) == (7, 4)
+        np.testing.assert_array_equal(segs.starts, [0, 2, 3])
+        np.testing.assert_array_equal(segs.lengths, [2, 1, 4])
+        assert segs.starts.dtype == segs.lengths.dtype == np.intp
+        np.testing.assert_array_equal(segs.mask, [[1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 1, 1]])
+        x = np.arange(7.0)
+        layout = segs.padded(x, -1.0)
+        np.testing.assert_array_equal(layout, [[0, 1, -1, -1], [2, -1, -1, -1], [3, 4, 5, 6]])
+        np.testing.assert_array_equal(segs.packed(layout), x)
+        even = ad.Segments((0, 3), 6)  # no padding: both are views
+        assert np.shares_memory(even.padded(x[:6], 0.0), x)
+
+    @pytest.mark.parametrize("op, x", [(ad.cumsum, np.ones(7)), (ad.segment_mean, np.ones((7, 2)))])
+    def test_ops_reject_segments_of_another_row_count(self, op, x):
+        with pytest.raises(ad.ShapeError, match="segments of 8 rows"):
+            op(ad.constant(x), ad.Segments((0, 3), 8))
 
     def test_cross_entropy_rows_sum_per_row_losses(self):
         r = rng(34)

@@ -384,6 +384,44 @@ class TestPacked:
         with pytest.raises(ValueError, match="non-empty"):
             net.Packed.of([])
 
+    @pytest.mark.parametrize("shapes", [[(3, 4), (5, 2)], [(3, 4), (5,)], [(3,), (2,), (5, 1)]])
+    def test_sequences_of_another_width_or_rank_rejected(self, shapes):
+        seqs = [np.ones(shape) for shape in shapes]
+        want = rf"sequence {len(shapes) - 1} has shape \({shapes[-1][0]},.*sequence 0 \(3,"
+        with pytest.raises(ValueError, match=want):
+            net.Packed.of(seqs)
+
+    def test_starts_that_are_not_integers_rejected(self):
+        # (0, 5.5) used to run as (0, 5), with the same logits.
+        x = np.zeros(10, dtype=np.uint8)
+        with pytest.raises(ad.ShapeError, match="not integers"):
+            net.Packed(x, ad.Segments((0, 5.5), 10))
+        with pytest.raises(TypeError, match="Segments"):
+            net.Packed(x, (0, 5))
+
+    def test_segments_of_another_row_count_rejected(self):
+        model = net.ResampleNetwork(token_spec(kappas=(None, 0.5)), seed=36)
+        with pytest.raises(ad.ShapeError, match="segments of 12 rows"):
+            model.predict(net.Packed(np.zeros(10, dtype=np.uint8), ad.Segments((0, 5), 12)))
+
+    @pytest.mark.parametrize("layout, lengths, train, builds", [
+        ("criterion8", [1024], False, 5),  # eval-L1024: the group, 2 per one-sequence plan
+        ("criterion8", [256] * 4, True, 3),  # train-L256: the group, 1 per group plan
+        ("preset", [32] * 16, True, 5),  # train-L32-bn
+    ])
+    def test_segments_built_once_per_group_and_plan(self, monkeypatch, layout, lengths,
+                                                     train, builds):
+        model = net.ResampleNetwork(bench_layout(layout), seed=40)
+        r = np.random.default_rng(41)
+        seqs = [r.integers(0, 12, size=n) for n in lengths]
+        built = []
+        init = ad.Segments.__init__
+        monkeypatch.setattr(ad.Segments, "__init__",
+                            lambda self, *a: built.append(a) or init(self, *a))
+        x = seqs[0] if len(seqs) == 1 else net.Packed.of(seqs)  # a group's one build
+        model.forward(x, tape=ad.Tape() if train else None, train=train)
+        assert len(built) == builds
+
 
 class TestBatchnormOverTheGroup:
     """Train-mode batchnorm takes its moments over every row of a packed
@@ -418,10 +456,10 @@ class TestBatchnormOverTheGroup:
         model = net.ResampleNetwork(spec, seed=42)
         r = np.random.default_rng(43)
         x = r.normal(size=(19, 4))
-        starts = (0, 5, 13)
+        segs = ad.Segments((0, 5, 13), 19)
 
         def f(t):
-            logits, _ = model.forward(net.Packed(t, starts), train=True)
+            logits, _ = model.forward(net.Packed(t, segs), train=True)
             return ad.cross_entropy(logits, [2, 0, 1])
 
         assert ad.grad_check(f, x) < 1e-4

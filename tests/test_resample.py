@@ -285,8 +285,8 @@ def plan_per_sequence(parts, delta, k):
         src_times=np.concatenate([src for src, _, _ in plans]),
         dst_times=np.concatenate([dst for _, dst, _ in plans]),
         neighbors=np.concatenate([nb + s for (_, _, nb), s in zip(plans, src_starts)]),
-        src_starts=tuple(src_starts.tolist()),
-        dst_starts=tuple(dst_starts.tolist()),
+        src_starts=src_starts.tolist(),
+        dst_starts=dst_starts.tolist(),
         copy_back=np.concatenate(back),
     )
 
@@ -324,15 +324,17 @@ class TestGroupPlans:
     def test_bit_equal_to_one_plan_per_sequence(self, lengths, k, kappa, delta, layouts, seed):
         r = np.random.default_rng(seed)
         parts = [_draw_deltas(r, L, delta, kappa, lay) for L, lay in zip(lengths, layouts)]
-        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
-        plan = rs.make_plan(np.concatenate(parts), delta, k, starts=starts)
+        segs = ad.Segments(np.cumsum([0] + lengths[:-1]), sum(lengths))
+        plan = rs.make_plan(np.concatenate(parts), delta, k, segs=segs)
         want = plan_per_sequence(parts, delta, k)
         for name in ("src_times", "dst_times", "neighbors"):
             got = getattr(plan, name)
             assert got.dtype == want[name].dtype
             assert got.tobytes() == want[name].tobytes(), name
         assert plan.dst_len == len(want["dst_times"])
-        assert (plan.src_starts, plan.dst_starts) == (want["src_starts"], want["dst_starts"])
+        assert plan.src is segs
+        assert plan.src.starts.tolist() == want["src_starts"]
+        assert plan.dst.starts.tolist() == want["dst_starts"]
         copy_back = rs.closest_grid_index(plan)
         assert copy_back.dtype == np.intp
         np.testing.assert_array_equal(copy_back, want["copy_back"])
@@ -344,9 +346,10 @@ class TestGroupPlans:
         deltas = _draw_deltas(r, 40, 1.0, 0.3, "uniform")
         other = _draw_deltas(r, 25, 1.0, 0.3, "uniform")
         alone = rs.make_plan(deltas, 1.0, 3)
-        group = rs.make_plan(np.concatenate([deltas, other]), 1.0, 3, starts=(0, 40))
+        group = rs.make_plan(np.concatenate([deltas, other]), 1.0, 3,
+                             segs=ad.Segments((0, 40), 65))
         D = alone.dst_len
-        assert group.dst_starts == (0, D)
+        assert group.dst.starts.tolist() == [0, D]
         assert alone.src_times.tobytes() == group.src_times[:40].tobytes()
         assert alone.dst_times.tobytes() == group.dst_times[:D].tobytes()
         assert alone.neighbors.tobytes() == group.neighbors[:D].tobytes()
@@ -368,7 +371,9 @@ class TestGroupPlans:
 
     def test_bad_starts_rejected(self):
         with pytest.raises(ad.ShapeError, match="segment starts"):
-            rs.make_plan(np.ones(5), 1.0, 2, starts=(0, 5))
+            ad.Segments((0, 5), 5)
+        with pytest.raises(ad.ShapeError, match="segments of 6 rows"):
+            rs.make_plan(np.ones(5), 1.0, 2, segs=ad.Segments((0, 3), 6))
         with pytest.raises(ValueError, match="window_k"):
             rs.make_plan(np.ones(5), 1.0, 0)
 

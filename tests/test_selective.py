@@ -255,7 +255,7 @@ class TestLinearScan:
         drive = r.normal(size=(T, 3))
         starts = sorted({0} | {c for c in cuts if c < T})  # length-1 segments included
         decay[starts] = 0.0
-        longest = max(hi - lo for lo, hi in ad.segments(starts, T))
+        longest = ad.Segments(starts, T).longest
         if reverse:
             # h_t = decay_{t+1} h_{t+1} + drive_t is the forward scan of
             # the reversed rows with each decay moved one row on.
@@ -311,8 +311,8 @@ class TestSegmentedScan:
         r = np.random.default_rng(seed)
         op = _scan_operands(r, sum(lengths), W, N)
         starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
-        y = selective.ssm_scan(*op.values(), starts=starts).numpy()
-        for lo, hi in ad.segments(starts, len(y)):
+        y = selective.ssm_scan(*op.values(), segs=ad.Segments(starts, sum(lengths))).numpy()
+        for lo, hi in zip(starts, [*starts[1:], len(y)]):
             seg = slice(lo, hi)
             for w in range(W):
                 want, _ = ssm.varying_scan(op["deltas"][seg], op["a"][w], op["b_seq"][seg],
@@ -330,14 +330,14 @@ class TestSegmentedScan:
         # inside every doubling level of the 9-row one.
         r = np.random.default_rng(zlib.crc32(which.encode()) + 19)
         T, W, N = 19, 2, 3
-        starts = (0, 5, 6, 15)
+        segs = ad.Segments((0, 5, 6, 15), T)
         base = _scan_operands(r, T, W, N)
         weight = r.normal(size=(T, W))
 
         def f(t):
             args = dict(base)
             args[which] = t
-            y = selective.ssm_scan(*args.values(), starts=starts)
+            y = selective.ssm_scan(*args.values(), segs=segs)
             return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
 
         assert ad.grad_check(f, base[which]) < 1e-4
@@ -352,7 +352,7 @@ class TestSegmentedScan:
         # its interval a gradient central differences resolve.
         r = np.random.default_rng(zlib.crc32(which.encode()) + 50)
         T, W, N = 37, 2, 3
-        starts = (0, 17, 18)
+        segs = ad.Segments((0, 17, 18), T)
         base = _scan_operands(r, T, W, N)
         base["a"][0, 0] = -50.0
         base["a"][1] = [-0.02, -0.05, -0.1]
@@ -362,7 +362,7 @@ class TestSegmentedScan:
         def f(t):
             args = dict(base)
             args[which] = t
-            y = selective.ssm_scan(*args.values(), starts=starts)
+            y = selective.ssm_scan(*args.values(), segs=segs)
             return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
 
         assert ad.grad_check(f, base[which]) < 1e-4
@@ -373,10 +373,19 @@ class TestSegmentedScan:
         tape = ad.Tape()
         u = tape.leaf(op["u"])
         y = selective.ssm_scan(op["a"], op["deltas"], op["b_seq"], op["c_seq"], u,
-                               starts=(0, 7))
+                               segs=ad.Segments((0, 7), 12))
         tape.backward(ad.reduce_sum(ad.slice_along(y, 0, 0, 7)))
         assert np.all(tape.grad(u)[7:] == 0.0)
         assert np.all(tape.grad(u)[:7] != 0.0)
+
+    @pytest.mark.parametrize("layer", ["ssm_scan", "selective_layer", "fixed_step_conv"])
+    def test_segments_of_another_row_count_rejected(self, layer):
+        r = np.random.default_rng(41)
+        ops = {"ssm_scan": lambda: list(_scan_operands(r, 12, 2, 3).values()),
+               "selective_layer": lambda: _selective_operands(r, 12, 2, 3),
+               "fixed_step_conv": lambda: _fixed_step_operands(r, 12, 2, 3)}[layer]()
+        with pytest.raises(ad.ShapeError, match="segments of 13 rows"):
+            getattr(selective, layer)(*ops, segs=ad.Segments((0, 7), 13))
 
 
 def _phi_masked(z):
@@ -505,7 +514,7 @@ class TestSelectiveScan:
 
 
 def composed_selective_layer(rho_t, theta_b_t, theta_c_t, theta_delta_t, delta_base_t, u_t,
-                             starts=(0,)):
+                             segs=None):
     """The selective layer as its scan on parameters computed from
     primitive tape ops: the oracle ``selective_layer`` is held to."""
     T, W = u_t.shape
@@ -514,7 +523,7 @@ def composed_selective_layer(rho_t, theta_b_t, theta_c_t, theta_delta_t, delta_b
     c_seq = ad.matmul(u_t, theta_c_t)
     pre_act = ad.reshape(ad.matmul(u_t, ad.reshape(theta_delta_t, (W, 1))), (T,))
     deltas = ad.softplus(ad.add(pre_act, delta_base_t))
-    return selective.ssm_scan(a, deltas, b_seq, c_seq, u_t, starts=starts)
+    return selective.ssm_scan(a, deltas, b_seq, c_seq, u_t, segs=segs)
 
 
 def _selective_operands(r, T, W, N):
@@ -539,13 +548,13 @@ class TestSelectiveLayer:
     )
     def test_bit_equal_to_composed_ops(self, lengths, W, N, seed):
         r = np.random.default_rng(seed)
-        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        segs = ad.Segments(np.cumsum([0] + lengths[:-1]), sum(lengths))
         ops = _selective_operands(r, sum(lengths), W, N)
         weight = r.normal(size=(sum(lengths), W))
         got, got_grads = grads_through(
-            lambda *t: selective.selective_layer(*t, starts=starts), ops, weight)
+            lambda *t: selective.selective_layer(*t, segs=segs), ops, weight)
         want, want_grads = grads_through(
-            lambda *t: composed_selective_layer(*t, starts=starts), ops, weight)
+            lambda *t: composed_selective_layer(*t, segs=segs), ops, weight)
         np.testing.assert_array_equal(got, want)
         for g, w in zip(got_grads, want_grads):
             assert g.shape == w.shape
@@ -556,21 +565,22 @@ class TestSelectiveLayer:
         # Segments of 5, 1, 9 and 4 rows, as the scan's own test.
         r = np.random.default_rng(zlib.crc32(_SELECTIVE_NAMES[which].encode()) + 70)
         T, W, N = 19, 2, 3
-        starts = (0, 5, 6, 15)
+        segs = ad.Segments((0, 5, 6, 15), T)
         base = _selective_operands(r, T, W, N)
         weight = r.normal(size=(T, W))
 
         def f(t):
             args = list(base)
             args[which] = t
-            y = selective.selective_layer(*args, starts=starts)
+            y = selective.selective_layer(*args, segs=segs)
             return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
 
         assert ad.grad_check(f, base[which]) < 1e-4
 
     def test_backward_after_reset(self):
         r = np.random.default_rng(71)
-        assert_fresh_after_reset(lambda *t: selective.selective_layer(*t, starts=(0, 4)),
+        segs = ad.Segments((0, 4), 9)
+        assert_fresh_after_reset(lambda *t: selective.selective_layer(*t, segs=segs),
                                  _selective_operands(r, 9, 2, 3), r)
 
     def test_no_state_or_gradient_crosses_a_start(self):
@@ -578,7 +588,7 @@ class TestSelectiveLayer:
         ops = _selective_operands(r, 12, 2, 3)
         tape = ad.Tape()
         u = tape.leaf(ops[5])
-        y = selective.selective_layer(*ops[:5], u, starts=(0, 7))
+        y = selective.selective_layer(*ops[:5], u, segs=ad.Segments((0, 7), 12))
         tape.backward(ad.reduce_sum(ad.slice_along(y, 0, 0, 7)))
         assert np.all(tape.grad(u)[7:] == 0.0)
         assert np.all(tape.grad(u)[:7] != 0.0)
@@ -595,7 +605,7 @@ class TestSelectiveLayer:
             selective.selective_layer(np.full((2, 3), 800.0), tb, tc, td, db, u)
 
 
-def composed_fixed_step(rho_t, raw_delta_t, b_t, c_t, u_t, starts=(0,)):
+def composed_fixed_step(rho_t, raw_delta_t, b_t, c_t, u_t, segs=None):
     """The fixed-step layer as the selective scan on operands tiled over
     the rows, from primitive tape ops: the oracle ``fixed_step_conv`` is
     held to."""
@@ -603,7 +613,7 @@ def composed_fixed_step(rho_t, raw_delta_t, b_t, c_t, u_t, starts=(0,)):
     a = ad.neg(ad.exp(rho_t))
     deltas = ad.mul(ad.constant(np.ones(T)), ad.softplus(raw_delta_t))
     return selective.ssm_scan(a, deltas, ad.tile_rows(b_t, T), ad.tile_rows(c_t, T), u_t,
-                              starts=starts)
+                              segs=segs)
 
 
 def _fixed_step_operands(r, T, W, N):
@@ -629,7 +639,7 @@ class TestFixedStepConv:
     )
     def test_matches_composed_scan(self, lengths, W, N, fast, seed):
         r = np.random.default_rng(seed)
-        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
+        segs = ad.Segments(np.cumsum([0] + lengths[:-1]), sum(lengths))
         ops = _fixed_step_operands(r, sum(lengths), W, N)
         if fast != "none":
             # delta |a| of 20 to 200 per step: powers fall under the flush
@@ -637,16 +647,16 @@ class TestFixedStepConv:
             # shorter than the segments) for every mode.
             ops[0][(0, 0) if fast == "one" else ...] += 4.0 + np.log(r.uniform(0.5, 2.0))
             ops[1] = np.array(r.uniform(0.0, 1.0))
-        want = composed_fixed_step(*ops, starts=starts).numpy()
-        assert_close_relative(selective.fixed_step_conv(*ops, starts=starts).numpy(), want)
+        want = composed_fixed_step(*ops, segs=segs).numpy()
+        assert_close_relative(selective.fixed_step_conv(*ops, segs=segs).numpy(), want)
         if fast == "none":
             # With a fast mode, the interval's gradient is mostly a
             # cancellation, phi(z) delta tending to 1 / |a|, so it is
             # held to finite differences below instead.
             weight = r.normal(size=want.shape)
-            _, got = grads_through(lambda *t: selective.fixed_step_conv(*t, starts=starts),
+            _, got = grads_through(lambda *t: selective.fixed_step_conv(*t, segs=segs),
                                    ops, weight)
-            _, ref = grads_through(lambda *t: composed_fixed_step(*t, starts=starts),
+            _, ref = grads_through(lambda *t: composed_fixed_step(*t, segs=segs),
                                    ops, weight)
             for g, w in zip(got, ref):
                 assert_close_relative(g, w, rtol=1e-10)
@@ -656,17 +666,16 @@ class TestFixedStepConv:
            W=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_padded_layout_matches_one_copy_per_segment(self, lengths, W, seed):
         x = np.random.default_rng(seed).normal(size=(sum(lengths), W))
-        starts = tuple(np.cumsum([0] + lengths[:-1]).tolist())
-        bounds = ad.segments(starts, len(x))
-        _, mask = ad.segment_layout(starts, len(x))
-        want = np.zeros((len(bounds), W, max(lengths)))
-        for s, (lo, hi) in enumerate(bounds):
-            want[s, :, : hi - lo] = x[lo:hi].T
-        got = selective._spread(x, mask)
+        starts = np.cumsum([0] + lengths[:-1])
+        segs = ad.Segments(starts, len(x))
+        want = np.zeros((len(lengths), W, max(lengths)))
+        for s, (lo, n) in enumerate(zip(starts, lengths)):
+            want[s, :, :n] = x[lo : lo + n].T
+        got = selective._spread(x, segs)
         np.testing.assert_array_equal(got, want)
         # What irfft hands back is longer than the segments.
-        longer = np.concatenate([want, np.ones((len(bounds), W, 3))], axis=2)
-        np.testing.assert_array_equal(selective._gather(longer, mask), x)
+        longer = np.concatenate([want, np.ones((len(lengths), W, 3))], axis=2)
+        np.testing.assert_array_equal(selective._gather(longer, segs), x)
 
     def test_one_sequence_of_one_row(self):
         r = np.random.default_rng(60)
@@ -686,7 +695,7 @@ class TestFixedStepConv:
         # differences resolve.
         r = np.random.default_rng(zlib.crc32(_FIXED_STEP_NAMES[which].encode()) + fast)
         T, W, N = 19, 2, 3
-        starts = (0, 5, 6, 15)
+        segs = ad.Segments((0, 5, 6, 15), T)
         base = _fixed_step_operands(r, T, W, N)
         if fast:
             base[0][0] = [4.5, 4.0, 0.0]
@@ -695,14 +704,15 @@ class TestFixedStepConv:
         def f(t):
             args = list(base)
             args[which] = t
-            y = selective.fixed_step_conv(*args, starts=starts)
+            y = selective.fixed_step_conv(*args, segs=segs)
             return ad.reduce_sum(ad.mul(y, ad.constant(weight)))
 
         assert ad.grad_check(f, base[which]) < 1e-4
 
     def test_backward_after_reset(self):
         r = np.random.default_rng(61)
-        assert_fresh_after_reset(lambda *t: selective.fixed_step_conv(*t, starts=(0, 4)),
+        segs = ad.Segments((0, 4), 9)
+        assert_fresh_after_reset(lambda *t: selective.fixed_step_conv(*t, segs=segs),
                                  _fixed_step_operands(r, 9, 2, 3), r)
 
     def test_no_state_or_gradient_crosses_a_start(self):
@@ -710,7 +720,7 @@ class TestFixedStepConv:
         ops = _fixed_step_operands(r, 12, 2, 3)
         tape = ad.Tape()
         u = tape.leaf(ops[4])
-        y = selective.fixed_step_conv(*ops[:4], u, starts=(0, 7))
+        y = selective.fixed_step_conv(*ops[:4], u, segs=ad.Segments((0, 7), 12))
         tape.backward(ad.reduce_sum(ad.slice_along(y, 0, 0, 7)))
         assert np.all(tape.grad(u)[7:] == 0.0)
         assert np.all(tape.grad(u)[:7] != 0.0)

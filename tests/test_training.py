@@ -203,7 +203,7 @@ class TestEvaluate:
         # Eight 24-row sequences over 64-row groups: four groups of two.
         monkeypatch.setattr(training, "MAX_TAPE_ROWS", 64)
         training.evaluate(model, val)
-        assert [len(x.starts) for x in calls] == [2, 2, 2, 2]
+        assert [len(x.segs) for x in calls] == [2, 2, 2, 2]
 
         # A sequence of MAX_TAPE_ROWS rows fills its group alone: one
         # Packed group of one sequence per call.
@@ -212,7 +212,7 @@ class TestEvaluate:
         training.evaluate(model, val)
         assert len(calls) == len(val)
         for x, item in zip(calls, val):
-            assert isinstance(x, net.Packed) and x.starts == (0,)
+            assert isinstance(x, net.Packed) and len(x.segs) == 1
             np.testing.assert_array_equal(x.rows, item.tokens)
 
 
@@ -414,7 +414,7 @@ class TestPackedBatch:
         real = model.forward
         seen = []
         monkeypatch.setattr(model, "forward",
-                            lambda x, **k: seen.append(len(x.starts)) or real(x, **k))
+                            lambda x, **k: seen.append(len(x.segs)) or real(x, **k))
         training._batch_grads(model, batch, 0, 0)
         assert seen == sizes
 
