@@ -410,13 +410,10 @@ def log1p(a) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # Piecewise form avoids overflow of exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, bit for bit,
+    # without masks: neither exp takes a positive argument, so none
+    # overflows.
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def sigmoid(a) -> Tensor:
@@ -615,13 +612,28 @@ class Segments:
     rows out and ``packed`` packs them back."""
 
     def __init__(self, starts, rows: int):
-        bounds = np.array([*starts, rows])
-        if bounds.dtype.kind not in "iu" or {bool, np.bool_} & set(map(type, starts)):
-            raise ShapeError(f"segment starts {starts!r} of {rows!r} rows are not integers")
+        def bad(what):
+            return ShapeError(f"segment starts {starts!r} of {rows!r} rows are {what}")
+
+        if isinstance(starts, np.ndarray):  # taken as it is, not entry by entry
+            if starts.ndim != 1:
+                raise bad("not one flat sequence")
+            if starts.dtype.kind not in "iu":
+                raise bad("not integers")
+            bounds = np.concatenate((starts, [rows]))
+        else:
+            try:
+                bounds = np.array([*starts, rows])
+            except ValueError:  # a nested entry, which numpy cannot stack with rows
+                raise bad("not one flat sequence") from None
+            if {bool, np.bool_} & set(map(type, starts)):  # numpy reads them as 1 and 0
+                raise bad("not integers")
+        if bounds.dtype.kind not in "iu":
+            raise bad("not integers")
         bounds = bounds.astype(np.intp, copy=False)
         self.starts, self.lengths, self.rows = bounds[:-1], bounds[1:] - bounds[:-1], int(rows)
         if len(bounds) < 2 or bounds[0] != 0 or self.lengths.min() < 1:
-            raise ShapeError(f"segment starts {starts!r} do not split {rows} rows")
+            raise bad("not a split of them")
         self.longest = int(self.lengths.max())
         self.starts.flags.writeable = self.lengths.flags.writeable = False
 

@@ -182,20 +182,22 @@ def classification_preset(depth: int, n_classes: int, vocab_size: int | None = N
 
 def rmsnorm(x, gain) -> ad.Tensor:
     """Scale each row of [L, H] to unit root-mean-square, then apply the
-    per-channel gain."""
+    per-channel gain.  Sums over either axis are taken as products with
+    ones vectors, which BLAS runs without numpy's loop per row."""
     def forward(xv, gv):
         if xv.ndim != 2:
             raise ad.ShapeError(f"rmsnorm expects [L, H], got {xv.shape}")
-        H = xv.shape[1]
-        r = np.sqrt(np.mean(xv * xv, axis=1, keepdims=True) + RMSNORM_EPS)  # [L,1]
+        L, H = xv.shape
+        r = np.sqrt((xv * xv) @ np.ones(H) / H + RMSNORM_EPS).reshape(L, 1)
         xhat = xv / r
 
         def backward(dy):
-            dot = np.sum(dy * gv[None, :] * xv, axis=1, keepdims=True)
-            return (dy * gv[None, :] / r - xv * dot / (H * r**3),
-                    np.sum(dy * xhat, axis=0))
+            dyg = dy * gv
+            dot = (dyg * xv) @ np.ones(H)
+            return (dyg / r - xv * (dot.reshape(L, 1) / (H * r**3)),
+                    np.ones(L) @ (dy * xhat))
 
-        return xhat * gv[None, :], backward
+        return xhat * gv, backward
 
     return ad.fused_op("rmsnorm", forward, x, gain)
 
@@ -210,33 +212,40 @@ def batchnorm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
     every sequence in a ``Packed`` group, so in training the moments are
     over the group's B*L rows, as standard BatchNorm takes them for
     sequences.  A group of one sequence has only its own positions.
+    Column sums are taken as products with a ones vector, which BLAS runs
+    without numpy's loop per row.
     """
     def forward(xv, gv, bv):
         if xv.ndim != 2:
             raise ad.ShapeError(f"batchnorm expects [L, H], got {xv.shape}")
+        R = len(xv)
         if train:
-            mean = xv.mean(axis=0)
-            var = xv.var(axis=0)  # biased, matching the normalisation
+            ones = np.ones(R)
+            mean = ones @ xv / R
+            xhat = xv - mean
+            var = ones @ (xhat * xhat) / R  # biased, matching the normalisation
             m = BATCHNORM_MOMENTUM
             running_mean[...] = running_mean * (1.0 - m) + m * mean
             running_var[...] = running_var * (1.0 - m) + m * var
         else:
-            mean = running_mean
+            xhat = xv - running_mean
             var = running_var
         inv = 1.0 / np.sqrt(var + BATCHNORM_EPS)
-        xhat = (xv - mean[None, :]) * inv[None, :]
+        xhat *= inv
 
         def backward(dy):
+            ones = np.ones(R)
             if train:
-                dyg = dy * gv[None, :]
-                dx = inv[None, :] * (
-                    dyg - dyg.mean(axis=0)[None, :] - xhat * (dyg * xhat).mean(axis=0)[None, :]
-                )
+                dx = dy * gv
+                shift = xhat * (ones @ (dx * xhat) / R)
+                dx -= ones @ dx / R
+                dx -= shift
+                dx *= inv
             else:
-                dx = dy * (gv * inv)[None, :]
-            return dx, np.sum(dy * xhat, axis=0), np.sum(dy, axis=0)
+                dx = dy * (gv * inv)
+            return dx, ones @ (dy * xhat), ones @ dy
 
-        return xhat * gv[None, :] + bv[None, :], backward
+        return xhat * gv + bv, backward
 
     return ad.fused_op("batchnorm", forward, x, gamma, beta)
 

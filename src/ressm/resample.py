@@ -472,36 +472,54 @@ def compress_tracked(
     backward gives all five operands their gradients from one pass:
     the inputs, the mixing map, the basis means, and both time axes.
     Neighbor windows stay frozen integer routing from the plan.
+
+    The window (K) and basis (G) axes hold a few entries each, and a
+    numpy sum or broadcast over so short an axis runs a loop per row.
+    So sums over them are BLAS products with ones vectors, and each
+    dst_l - t_k - mu is the product [dk, 1] @ [1; -mus]: both its terms
+    are exact, so it rounds once, as the subtraction does.
     """
     if plan.neighbors is None:
         raise ValueError("plan has no neighbor windows; use make_plan")
     nbrs = plan.neighbors
+    idx = nbrs.reshape(-1)
     n_dst, window_k = nbrs.shape
 
     def forward(x, gamma, mus, src, dst):
         if x.shape[0] != len(plan.src_times):
             raise ValueError("sequence length does not match the plan")
-        width = x.shape[1]
+        width, basis_g = x.shape[1], mus.size
+        dk = dst[:, None] - np.take(src, nbrs)
+        shift = np.stack([np.ones(basis_g), -mus])
+
+        def diff():  # [n_dst K, G] rows of dst_l - t_k - mus
+            cols = np.ones((idx.size, 2))
+            cols[:, 0] = dk.reshape(-1)
+            return cols @ shift
+
         # Each grid point's K blocks side by side: [n_dst, K, W + G], written once.
-        feats = np.empty((n_dst, window_k, width + mus.size))
-        feats[:, :, :width] = x[nbrs]
-        dk = dst[:, None] - src[nbrs]
-        diff = dk[:, :, None] - mus
-        feats[:, :, width:] = np.exp(-(diff * diff))
+        feats = np.empty((n_dst, window_k, width + basis_g))
+        feats[:, :, :width] = np.take(x, nbrs, axis=0)
+        basis = diff()
+        basis *= basis
+        np.negative(basis, out=basis)
+        feats[:, :, width:] = np.exp(basis, out=basis).reshape(n_dst, window_k, basis_g)
         flat = feats.reshape(n_dst, -1)
 
         def backward(g):
-            idx = nbrs.reshape(-1)
             d_blocks = (g @ gamma.T).reshape(idx.size, -1)
             d_x = ad.scatter_add(idx, d_blocks[:, :width], len(x))
             # d exp(-diff^2) / d diff = -2 diff exp(-diff^2); diff is
-            # recomputed rather than kept alive between the passes.
-            eps = feats.reshape(idx.size, -1)[:, width:]
-            d_diff = d_blocks[:, width:] * eps * (dk.reshape(-1, 1) - mus) * -2.0
-            d_dk = d_diff.sum(axis=1)
-            d_src = ad.scatter_add(idx, -d_dk, len(src))
-            return (d_x, flat.T @ g, -d_diff.sum(axis=0), d_src,
-                    d_dk.reshape(n_dst, window_k).sum(axis=1))
+            # recomputed rather than kept alive between the passes, and
+            # d_diff is built in its buffer.
+            d_diff = diff()
+            d_diff *= feats.reshape(idx.size, -1)[:, width:]
+            d_diff *= d_blocks[:, width:]
+            d_diff *= -2.0
+            d_dk = d_diff @ np.ones(basis_g)
+            d_src = np.bincount(idx, weights=-d_dk, minlength=len(src))
+            return (d_x, flat.T @ g, -np.ones(idx.size) @ d_diff, d_src,
+                    d_dk.reshape(n_dst, window_k) @ np.ones(window_k))
 
         return flat @ gamma, backward
 

@@ -52,6 +52,22 @@ class TestElementwise:
     def test_sigmoid_zero(self):
         assert ad.sigmoid(ad.constant(0.0)).item() == 0.5
 
+    def test_sigmoid_bits_equal_the_piecewise_form(self):
+        def piecewise(x):
+            out = np.empty_like(x)
+            pos = x >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+            ex = np.exp(x[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        edges = np.array([0.0, 1e-300, 709.0, 745.0, 800.0])
+        r = rng(7)
+        x = np.concatenate([edges, -edges, r.uniform(-800, 800, size=10_000),
+                            r.normal(size=10_000) * 10.0 ** r.uniform(-300, 2, size=10_000)])
+        got = ad._sigmoid(x)
+        assert np.array_equal(got.view(np.int64), piecewise(x).view(np.int64))
+
     def test_softplus_zero_is_ln2(self):
         assert ad.softplus(ad.constant(0.0)).item() == pytest.approx(math.log(2.0), rel=1e-15)
 
@@ -303,6 +319,24 @@ class TestExtendedOps:
         # ran as (0, 5).
         with pytest.raises(ad.ShapeError, match=r"segment starts .* not integers"):
             ad.Segments(starts, 10)
+
+    @pytest.mark.parametrize("starts", [[[0, 1]], np.array([[0, 1]]), [0, [1]]])
+    def test_segments_rejects_nested_starts_by_name(self, starts):
+        # These used to fail inside numpy with an "inhomogeneous shape"
+        # ValueError that named neither the starts nor the rows.
+        with pytest.raises(ad.ShapeError, match=r"segment starts .* of 2 rows are not one flat"):
+            ad.Segments(starts, 2)
+
+    @pytest.mark.parametrize("starts", [(0,), (0, 2, 3), (0, 1, 5, 6, 8)])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8])
+    def test_segments_from_an_array_equal_segments_from_a_tuple(self, starts, dtype):
+        from_tuple = ad.Segments(starts, 9)
+        from_array = ad.Segments(np.array(starts, dtype=dtype), 9)
+        for got, want in ((from_array.starts, from_tuple.starts),
+                          (from_array.lengths, from_tuple.lengths)):
+            assert got.dtype == want.dtype == np.intp
+            np.testing.assert_array_equal(got, want)
+        assert (from_array.rows, from_array.longest) == (from_tuple.rows, from_tuple.longest)
 
     def test_segments_layout(self):
         segs = ad.Segments(np.array([0, 2, 3], dtype=np.int32), 7)

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_resample import assert_fresh_after_reset
 
 from ressm import autodiff as ad
@@ -85,6 +87,39 @@ class TestNorms:
         np.testing.assert_allclose(out.var(axis=0), 1.0, rtol=1e-6)
         np.testing.assert_allclose(rm, 0.9 * 0.0 + 0.1 * x.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(rv, 0.9 * 1.0 + 0.1 * x.var(axis=0), rtol=1e-12)
+
+    @staticmethod
+    def draw(seed, R, H):
+        """[R, H] rows over six decades, a gain and a shift."""
+        r = np.random.default_rng(seed)
+        x = r.normal(size=(R, H)) * 10.0 ** r.uniform(-3, 3, size=(R, 1)) + r.normal(size=H)
+        return x, r.normal(size=H), r.normal(size=H)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(R=st.integers(1, 64), H=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_rmsnorm_matches_numpy(self, R, H, seed):
+        x, gain, _ = self.draw(seed, R, H)
+        want = x / np.sqrt(np.mean(x * x, axis=1, keepdims=True) + net.RMSNORM_EPS) * gain
+        self.assert_close(net.rmsnorm(x, gain).numpy(), want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(R=st.integers(1, 64), H=st.integers(1, 16), train=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batchnorm_matches_numpy(self, R, H, train, seed):
+        x, gamma, beta = self.draw(seed, max(R, 2) if train else R, H)
+        r = np.random.default_rng(seed + 1)
+        rm, rv = r.normal(size=H), r.uniform(0.5, 2.0, size=H)
+        mean, var = (x.mean(axis=0), x.var(axis=0)) if train else (rm, rv)
+        want = (x - mean) / np.sqrt(var + net.BATCHNORM_EPS) * gamma + beta
+        m = net.BATCHNORM_MOMENTUM
+        want_rm, want_rv = (rm * (1 - m) + m * mean, rv * (1 - m) + m * var) if train else (rm, rv)
+        self.assert_close(net.batchnorm(x, gamma, beta, rm, rv, train=train).numpy(), want)
+        self.assert_close(rm, want_rm)
+        self.assert_close(rv, want_rv)
 
     def test_batchnorm_gradients_both_modes(self):
         r = np.random.default_rng(4)
