@@ -456,6 +456,13 @@ def center_copy_gamma(width: int, basis_g: int) -> np.ndarray:
 # tape ops (frozen routing from a plan, differentiable values)
 
 
+def _scatter_columns(idx, values, n):
+    """``autodiff.scatter_add`` of [m, W] rows into n rows, one
+    ``np.bincount`` per column: the same bits, without a flat m * W index,
+    so faster for the few columns of a window's features."""
+    return np.stack([np.bincount(idx, weights=v, minlength=n) for v in values.T], axis=1)
+
+
 def compress_tracked(
     x_t: ad.Tensor,
     plan: ResamplePlan,
@@ -508,7 +515,7 @@ def compress_tracked(
 
         def backward(g):
             d_blocks = (g @ gamma.T).reshape(idx.size, -1)
-            d_x = ad.scatter_add(idx, d_blocks[:, :width], len(x))
+            d_x = _scatter_columns(idx, d_blocks[:, :width], len(x))
             # d exp(-diff^2) / d diff = -2 diff exp(-diff^2); diff is
             # recomputed rather than kept alive between the passes, and
             # d_diff is built in its buffer.

@@ -11,16 +11,16 @@ interval and the input and output projections inside the scan (Gu & Dao
 bookkeeping costs more than its arithmetic.
 
 Both the forward recurrence and the backward adjoint recurrence are
-first-order linear scans, h_t = decay_t h_{t-1} + drive_t, run by
-recursive doubling (Hillis-Steele; Blelloch 1990): ceil(log2 T) passes
-of three whole-array numpy ops each, instead of T Python steps; the
-adjoint runs backwards in place.  Decays and decay products below
-sqrt(smallest normal) ~ 1.5e-154 are flushed to zero, on the passes
-whose products can reach that floor, so that no pass computes on
-subnormals; each flush drops a term smaller than 1.5e-154 times the
-state it would have carried.  Sums run in a different order from the
-step-by-step recurrence, so outputs match ``ssm.varying_scan`` to
-rounding, not bit for bit.
+first-order linear scans, h_t = decay_t h_{t-1} + drive_t, run in place
+by one compiled C loop over the rows (``_scan.c``), as Mamba runs its
+recurrence as one fused kernel rather than as passes over whole arrays;
+the adjoint runs backwards.  The loop is built once per process, when
+this module is imported, by the interpreter's C compiler, and loaded
+through ctypes; importing it therefore needs a C compiler.  Decays below
+sqrt(smallest normal) ~ 1.5e-154 count as exact zeros, so that a
+decay times a state of at least that size is never subnormal; each
+drops a term smaller than 1.5e-154 times the state it would have
+carried.  Sums run in step order, as ``ssm.varying_scan`` takes them.
 
 Around the recurrence, each step is one pass over [T, W*N] arrays:
 elementwise, or a product with a 0/1 selector that spreads a
@@ -38,8 +38,14 @@ O(T log T) work with no scan at all.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -48,67 +54,53 @@ from .ssm import phi, phi_prime
 
 __all__ = ["ssm_scan", "selective_layer", "fixed_step_conv"]
 
-# Decays below this are flushed to exact zero.  A product of two
-# unflushed decays is then at least float64's smallest normal, so the
-# doubling passes never touch subnormals, which are slow on most CPUs.
+# Decays below this count as exact zeros, which drops a term under
+# 1.5e-154 times the state it would carry.  A decay at or above it times
+# a state at least as large is a normal number, so the scan's products
+# keep off subnormals, which are slow on most CPUs.
 _DECAY_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
 _LOG_DECAY_FLOOR = math.log(_DECAY_FLOOR)
 
 
-def _flush_decays(x):
-    """Zero the entries of ``x`` below the floor, in place.  Decays are
-    finite and non-negative, so multiplying by the 0/1 mask is exact and,
-    unlike a masked write, has no branch to mispredict."""
-    np.multiply(x, x >= _DECAY_FLOOR, out=x)
+def _build_kernel(cc):
+    """Compile ``_scan.c`` with the C compiler command ``cc`` into a
+    temporary directory and load its ``linear_scan``; the loaded library
+    outlives the directory.  Raises ImportError naming the command and
+    its error output if the compiler is missing or fails."""
+    source = Path(__file__).with_name("_scan.c")
+    with tempfile.TemporaryDirectory() as tmp:
+        lib = str(Path(tmp, "_scan.so"))
+        cmd = [*shlex.split(cc), "-O2", "-fPIC", "-shared", "-ffp-contract=off", str(source),
+               "-o", lib]
+        try:
+            subprocess.run(cmd, capture_output=True, text=True, check=True)
+        except (OSError, subprocess.CalledProcessError) as e:
+            detail = getattr(e, "stderr", None) or e
+            raise ImportError(f"cannot build the scan kernel: {shlex.join(cmd)}: {detail}") from e
+        kernel = ctypes.CDLL(lib).linear_scan
+    rows = functools.partial(np.ctypeslib.ndpointer, np.float64, ndim=2)
+    kernel.argtypes = [rows(flags="C_CONTIGUOUS"), rows(flags="C_CONTIGUOUS,WRITEABLE"),
+                       ctypes.c_ssize_t, ctypes.c_ssize_t, ctypes.c_int, ctypes.c_double]
+    kernel.restype = None
+    return kernel
 
 
-def _linear_scan(decay, drive, spare, longest, reverse=False):
-    """h_t = decay_t * h_{t-1} + drive_t from h_{-1} = 0, along axis 0;
-    with ``reverse``, h_t = decay_{t+1} * h_{t+1} + drive_t from the end.
+_kernel = _build_kernel(sysconfig.get_config_var("CC") or "cc")
 
-    Recursive doubling (Hillis-Steele): after the pass with stride k,
-    ``h[t]`` holds the recurrence started from zero 2k rows back (ahead,
-    in reverse) and the span the product of the 2k decays in between,
-    so ceil(log2 T) vectorised passes replace the loop over t.  The
-    decay of the first step (last, in reverse) is never read.  A zero
-    decay cuts the recurrence: every span across it is exactly 0, so
-    when no run between zero decays is longer than ``longest`` rows,
-    ceil(log2 longest) passes finish it.
 
-    Decays must be non-negative.  Each pass writes only the span entries
-    the next pass reads, into the other of two buffers.  Works in place:
-    ``drive`` becomes h, which is returned, and ``decay`` and ``spare``
-    (an array of h's shape) serve as the span buffers.
-    """
-    h, span = drive, decay
-    # Every nonzero span of m decays is at least low**m, so a pass whose
-    # bound clears the floor by a margin (far above rounding) skips the
-    # flush; the floor-crossing passes run it.
-    low = span.min(where=span > 0.0, initial=1.0)
-    if low < _DECAY_FLOOR:
-        _flush_decays(span)
-        low = _DECAY_FLOOR
-    log_low, log_floor = math.log(low), math.log(_DECAY_FLOOR) + 1e-6
-    T = len(h)
-    k = 1
-    while k < longest:
-        # span[i] is the product of the k decays ending (starting, in
-        # reverse) at step i, valid for every i this pass reads.
-        tmp = spare[: T - k]
-        if reverse:
-            np.multiply(span[1 : T - k + 1], h[k:], out=tmp)
-            h[: T - k] += tmp
-        else:
-            np.multiply(span[k:], h[: T - k], out=tmp)
-            h[k:] += tmp
-        if 2 * k < longest:  # the last level's span product would go unused
-            lo, hi, off = (1, T - 2 * k + 1, k) if reverse else (2 * k, T, -k)
-            new = spare[lo:hi]
-            np.multiply(span[lo:hi], span[lo + off : hi + off], out=new)
-            if 2 * k * log_low < log_floor:
-                _flush_decays(new)
-            span, spare = spare, span
-        k *= 2
+def _linear_scan(decay, h, reverse=False):
+    """h_t = decay_t * h_{t-1} + drive_t from h_{-1} = 0 along axis 0, in
+    place (``h`` holds the drive on entry); with ``reverse``,
+    h_t = decay_{t+1} * h_{t+1} + drive_t from the end.  One compiled
+    loop over the rows (``_scan.c``) sums in step order, as
+    ``ssm.varying_scan`` does.  Decays must be non-negative; those below
+    ``_DECAY_FLOOR`` count as exact zeros, so a zero decay cuts the
+    recurrence.  Both arrays must be C-contiguous float64 [T, C] of one
+    shape and ``h`` writeable, or this raises before the loop runs."""
+    if decay.shape != h.shape or h.ndim != 2:
+        raise ad.ShapeError(f"scan wants decay and h of one [T, C] shape, "
+                            f"got {decay.shape} and {h.shape}")
+    _kernel(decay, h, *h.shape, reverse, _DECAY_FLOOR)
     return h
 
 
@@ -137,7 +129,7 @@ def _scan_forward(a, deltas, b_seq, c_seq, u, segs):
     drive *= u_w
     decay = np.exp(z, out=z)
     decay[segs.starts] = 0.0  # each segment starts from a zero state
-    hs = _linear_scan(decay, drive, u_w, segs.longest)
+    hs = _linear_scan(decay, drive)
     ys = np.einsum("twn,tn->tw", hs.reshape(-1, *a.shape), c_seq)
     return ys, (phis, hs)
 
@@ -160,7 +152,7 @@ def _scan_backward(dy, a, deltas, b_seq, c_seq, u, segs, saved):
     g = c_seq @ by_n
     g *= dy_w
     dc = np.multiply(hs, dy_w, out=dy_w) @ by_n.T
-    g = _linear_scan(es, g, dy_w, segs.longest, reverse=True)
+    g = _linear_scan(es, g, reverse=True)
     u_w = np.matmul(u, by_w, out=es)
     sb_n = np.matmul(deltas[:, None] * b_seq, by_n, out=dy_w)
     carried *= g[1:]
@@ -195,11 +187,11 @@ def ssm_scan(a_diag, deltas, b_seq, c_seq, u, *, segs=None) -> ad.Tensor:
     sequences packed end to end along T; the state restarts from zero at
     each one's first row, so every segment scans as if on its own.
 
-    The recurrence runs by recursive doubling in ceil(log2 T) vectorised
-    passes, T the longest segment, forward and, for the gradient,
-    backward in time.  Decays below ~1.5e-154 count as zero, which drops
-    terms under 1.5e-154 times the state they carry; y agrees with the
-    step-by-step recurrence to rounding.
+    The recurrence runs in one compiled loop over the steps (see
+    ``_linear_scan``), forward and, for the gradient, backward in time.
+    Decays below ~1.5e-154 count as zero, which drops terms under
+    1.5e-154 times the state they carry; y agrees with the step-by-step
+    recurrence to rounding.
     """
     def forward(a, d, b, c, uu):
         if uu.ndim != 2:

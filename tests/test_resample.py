@@ -520,6 +520,27 @@ class TestCompress:
         assert plan.dst_len == 9
         np.testing.assert_array_equal(rs.compress(cfg, x, plan), x)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        m=st.integers(0, 40),
+        width=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_scatter_bit_equal_to_scatter_add(self, n, m, width, seed):
+        # Few rows and many indices, so repeats are the rule; the last
+        # row receives nothing.  The values are the first columns of a
+        # wider array, as the compress backward passes them.
+        r = np.random.default_rng(seed)
+        idx = r.integers(0, max(n - 1, 1), size=m)
+        wide = r.normal(size=(m, width + 3)) * np.exp(r.normal(size=(m, width + 3)) * 8)
+        got = rs._scatter_columns(idx, wide[:, :width], n)
+        want = ad.scatter_add(idx, wide[:, :width], n)
+        assert got.shape == want.shape == (n, width)
+        np.testing.assert_array_equal(got, want)
+        if n > 1:
+            assert not got[-1].any()
+
     def test_plan_length_mismatch(self):
         cfg = make_cfg()
         x = np.random.default_rng(14).normal(size=(8, 3))

@@ -1,6 +1,7 @@
 """Tests for the network's SSM layers: the fused selective scan op and
 the fixed-step convolution op."""
 
+import ctypes
 import math
 import zlib
 
@@ -158,8 +159,8 @@ class TestSsmScan:
         assert ad.grad_check(f, base[which]) < 1e-4
 
     @pytest.mark.parametrize("which", ["a", "deltas", "b_seq", "c_seq", "u"])
-    def test_gradients_across_doubling_levels(self, which):
-        # T = 37 runs six doubling levels forward and back, the last partial.
+    def test_gradients_over_a_longer_scan(self, which):
+        # T = 37 rows, an odd length, forward and back.
         r = np.random.default_rng(zlib.crc32(which.encode()) + 37)
         T, W, N = 37, 2, 3
         base = {
@@ -181,13 +182,13 @@ class TestSsmScan:
         assert ad.grad_check(f, base[which]) < 1e-4
 
 
-# Lengths at and either side of powers of two end a doubling pass
-# exactly, stop one row short of it, or leave one row for a last,
-# partial level.
+# Lengths at and either side of powers of two, from 1 up: one-row
+# scans, and the lengths where a vectorised loop has a full block of
+# columns, one short of it, or one over.
 _EDGE_LENGTHS = sorted({2**k + d for k in range(10) for d in (-1, 0, 1)} - {0})
 
 
-class TestDoublingScanOracle:
+class TestScanOracle:
     @settings(max_examples=60, deadline=None)
     @given(
         T=st.one_of(st.integers(1, 600), st.sampled_from([n for n in _EDGE_LENGTHS if n <= 600])),
@@ -203,8 +204,8 @@ class TestDoublingScanOracle:
         deltas = r.uniform(0.0, 1.0, size=T)
         deltas[r.random(T) < zero_frac] = 0.0  # exact identity steps
         if flush:
-            # A fast mode and long steps: a few decays multiply to below
-            # the flush floor, and exp(-50 * 20) underflows outright.
+            # A fast mode and long steps: some decays fall below the
+            # floor, and exp(-50 * 20) underflows outright.
             a[0, 0] = -50.0
             deltas[r.random(T) < 0.3] = 20.0
         b_seq = r.normal(size=(T, N))
@@ -216,27 +217,22 @@ class TestDoublingScanOracle:
             assert np.all(np.abs(y[:, w] - want) <= 1e-12 * np.abs(want).max())
 
 
-def _reference_doubling(decay, drive, longest):
-    """The doubling scan in its plainest form: every pass copies the span
-    product back in full and flushes it whatever its range."""
+def _step_loop(decay, drive, reverse):
+    """The recurrence one numpy step at a time, each decay times its 0/1
+    test against the floor: the compiled loop's ops in its order."""
     floor = selective._DECAY_FLOOR
-    h, span = drive.copy(), decay.copy()
-    span[span < floor] = 0.0
-    k = 1
-    while k < longest:
-        h[k:] += span[k:] * h[:-k]
-        if 2 * k < longest:
-            prod = span[k:] * span[:-k]
-            prod[prod < floor] = 0.0
-            span[k:] = prod
-        k *= 2
+    h = drive.copy()
+    steps = range(len(h) - 2, -1, -1) if reverse else range(1, len(h))
+    for t in steps:
+        s = t + 1 if reverse else t  # the decay carried into row t
+        p = t + 1 if reverse else t - 1
+        h[t] += (decay[s] * (decay[s] >= floor)) * h[p]
     return h
 
 
 class TestLinearScan:
-    """``_linear_scan`` writes only the span rows the next pass reads,
-    alternates two buffers and skips the flush where a bound shows no
-    span can reach the floor; none of that may move a bit."""
+    """The compiled loop against the same steps taken in numpy, and the
+    checks that keep a bad buffer from reaching it."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -246,44 +242,43 @@ class TestLinearScan:
         reverse=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bit_equal_to_plain_doubling(self, T, cuts, log_decay, reverse, seed):
-        # Log-decays from slow (no pass flushes) through ones whose
-        # products cross the floor a few passes in, to decays straddling
-        # the floor themselves (every pass flushes), and some underflow.
+    def test_bit_equal_to_step_loop(self, T, cuts, log_decay, reverse, seed):
+        # Log-decays from slow ones, through fast ones, to decays
+        # straddling the floor, and some that underflow to zero.
         r = np.random.default_rng(seed)
         decay = np.exp(r.uniform(*log_decay, size=(T, 3)))
         drive = r.normal(size=(T, 3))
         starts = sorted({0} | {c for c in cuts if c < T})  # length-1 segments included
         decay[starts] = 0.0
-        longest = ad.Segments(starts, T).longest
-        if reverse:
-            # h_t = decay_{t+1} h_{t+1} + drive_t is the forward scan of
-            # the reversed rows with each decay moved one row on.
-            shifted = np.zeros_like(decay)
-            shifted[1:] = decay[:0:-1]
-            want = _reference_doubling(shifted, drive[::-1], longest)[::-1]
-        else:
-            want = _reference_doubling(decay, drive, longest)
-        got = selective._linear_scan(decay.copy(), drive.copy(), np.empty_like(drive), longest,
-                                     reverse=reverse)
+        want = _step_loop(decay, drive, reverse)
+        got = selective._linear_scan(decay.copy(), drive.copy(), reverse=reverse)
         np.testing.assert_array_equal(got, want)
 
-    def test_flush_both_taken_and_skipped(self, monkeypatch):
-        # Decays of e^-10: products of up to 32 stay above the floor, so
-        # the passes building spans of 2 to 32 skip the flush and those
-        # building 64 and 128 take it.
-        flushed = []
-        flush = selective._flush_decays
+    def test_nan_decay_gives_nan(self):
+        decay = np.full((3, 2), 0.5)
+        decay[1, 0] = np.nan
+        h = selective._linear_scan(decay, np.ones((3, 2)))
+        assert np.isnan(h[1:, 0]).all() and np.isfinite(h[:, 1]).all()
 
-        def spy(x):
-            flushed.append(len(x))
-            return flush(x)
+    @pytest.mark.parametrize("bad", ["shape", "transposed", "float32", "read_only"])
+    def test_bad_buffer_rejected_before_the_loop(self, bad):
+        decay, h = np.full((4, 3), 0.5), np.ones((4, 3))
+        if bad == "shape":
+            decay = np.full((4, 2), 0.5)
+        elif bad == "transposed":
+            decay = np.full((3, 4), 0.5).T
+        elif bad == "float32":
+            h = h.astype(np.float32)
+        else:
+            h.flags.writeable = False
+        before = h.copy()
+        with pytest.raises(ad.ShapeError if bad == "shape" else ctypes.ArgumentError):
+            selective._linear_scan(decay, h)
+        np.testing.assert_array_equal(h, before)
 
-        monkeypatch.setattr(selective, "_flush_decays", spy)
-        T = 256
-        decay = np.full((T, 2), np.exp(-10.0))
-        selective._linear_scan(decay, np.ones((T, 2)), np.empty((T, 2)), T)
-        assert flushed == [T - 64, T - 128]
+    def test_missing_compiler_raises_import_error(self):
+        with pytest.raises(ImportError, match="no-such-cc-for-ressm"):
+            selective._build_kernel("no-such-cc-for-ressm")
 
 
 def _scan_operands(r, T, W, N):
@@ -326,8 +321,8 @@ class TestSegmentedScan:
 
     @pytest.mark.parametrize("which", ["a", "deltas", "b_seq", "c_seq", "u"])
     def test_gradients_across_resets(self, which):
-        # Segments of 5, 1, 9 and 4 rows: a length-1 segment, and resets
-        # inside every doubling level of the 9-row one.
+        # Segments of 5, 1, 9 and 4 rows: a length-1 segment among
+        # longer ones.
         r = np.random.default_rng(zlib.crc32(which.encode()) + 19)
         T, W, N = 19, 2, 3
         segs = ad.Segments((0, 5, 6, 15), T)
