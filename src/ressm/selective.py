@@ -29,20 +29,21 @@ per-channel or per-state factor across its block or sums a block
 backward recomputes z and e^z and takes phi'(z) = (e^z - phi(z)) / z.
 
 ``fixed_step_conv`` is the layer whose interval, input map and output
-map do not vary with t.  Unrolled, such a recurrence is a causal
-convolution with its impulse response, which S4 and S4D compute by FFT
-(Gu et al. 2021, arXiv:2111.00396; Gu et al. 2022, arXiv:2206.11893);
-so it takes the layer's own weights and runs as one node of
-O(T log T) work with no scan at all.
+map do not vary with t.  S4 and S4D unroll such a recurrence into a
+causal convolution with its impulse response and compute it by FFT (Gu
+et al. 2021, arXiv:2111.00396; Gu et al. 2022, arXiv:2206.11893); here
+it runs on the same compiled loop as the selective layer, which at
+these lengths costs less than the FFT, and takes the layer's own
+weights as one node: its decay, input weight and output map are one
+row each, so phi and e^z are taken once per state, not once per row.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
-import math
+import os
 import shlex
-import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -59,24 +60,31 @@ __all__ = ["ssm_scan", "selective_layer", "fixed_step_conv"]
 # a state at least as large is a normal number, so the scan's products
 # keep off subnormals, which are slow on most CPUs.
 _DECAY_FLOOR = np.sqrt(np.finfo(np.float64).tiny)
-_LOG_DECAY_FLOOR = math.log(_DECAY_FLOOR)
 
 
 def _build_kernel(cc):
     """Compile ``_scan.c`` with the C compiler command ``cc`` into a
     temporary directory and load its ``linear_scan``; the loaded library
     outlives the directory.  Raises ImportError naming the command and
-    its error output if the compiler is missing or fails."""
+    its error output if the compiler is missing or fails.  The compiler
+    is spawned and waited for through ``os``, as the standard library's
+    process module alone would add about half a megabyte to every
+    process that imports this one."""
     source = Path(__file__).with_name("_scan.c")
     with tempfile.TemporaryDirectory() as tmp:
-        lib = str(Path(tmp, "_scan.so"))
+        lib, log = str(Path(tmp, "_scan.so")), Path(tmp, "cc.log")
         cmd = [*shlex.split(cc), "-O2", "-fPIC", "-shared", "-ffp-contract=off", str(source),
                "-o", lib]
+        to_log = [(os.POSIX_SPAWN_OPEN, 1, str(log), os.O_WRONLY | os.O_CREAT, 0o600),
+                  (os.POSIX_SPAWN_DUP2, 1, 2)]
         try:
-            subprocess.run(cmd, capture_output=True, text=True, check=True)
-        except (OSError, subprocess.CalledProcessError) as e:
-            detail = getattr(e, "stderr", None) or e
-            raise ImportError(f"cannot build the scan kernel: {shlex.join(cmd)}: {detail}") from e
+            pid = os.posix_spawnp(cmd[0], cmd, os.environ, file_actions=to_log)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        except OSError as e:
+            raise ImportError(f"cannot build the scan kernel: {shlex.join(cmd)}: {e}") from e
+        if code != 0:
+            raise ImportError(f"cannot build the scan kernel: {shlex.join(cmd)}: "
+                              f"exit {code}: {log.read_text(errors='replace')}")
         kernel = ctypes.CDLL(lib).linear_scan
     rows = functools.partial(np.ctypeslib.ndpointer, np.float64, ndim=2)
     kernel.argtypes = [rows(flags="C_CONTIGUOUS"), rows(flags="C_CONTIGUOUS,WRITEABLE"),
@@ -266,25 +274,6 @@ def selective_layer(rho, theta_b, theta_c, theta_delta, delta_base, u, *,
                        delta_base, u)
 
 
-def _fft_length(m):
-    """The least 2^i, 3 * 2^i, 9 * 2^i or 27 * 2^i at or above m: an FFT
-    length of small factors, less than 4/3 of m (the next power of two
-    can be 2m)."""
-    return min(p << ((m - 1) // p).bit_length() for p in (1, 3, 9, 27))
-
-
-def _spread(x, segs):
-    """Packed [T, W] rows as [S, W, L]: segment s in row s, zero-padded
-    (``autodiff.Segments.padded``), contiguous, as the FFT reads it
-    fastest."""
-    return np.ascontiguousarray(segs.padded(x, 0.0).transpose(0, 2, 1))
-
-
-def _gather(x, segs):
-    """[S, W, >= L] back to packed [T, W] rows; ``_spread``'s inverse."""
-    return segs.packed(x[:, :, : segs.longest].transpose(0, 2, 1))
-
-
 def fixed_step_conv(rho, raw_delta, b, c, u, *, segs=None) -> ad.Tensor:
     """The fixed-step layer: W diagonal systems with one interval and one
     input and output map for every step, from their weights.
@@ -294,14 +283,10 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, segs=None) -> ad.Tensor:
     and z = delta * a, it is ``ssm_scan`` on a, delta at every step and
     b and c at every row: h_t = e^z h_{t-1} + phi(z) delta b u_t and
     y_t = c . h_t, from a zero state at each segment of ``segs`` (see
-    ``ssm_scan``).  Unrolled, that is the causal convolution of
-    each segment of u with K[w, j] = sum_n phi(z) delta b_n c_n e^{jz}.
-    Powers under ~1.5e-154, the scan's decay floor, are exact zeros, and
-    np.exp runs only on the rest, so K ends where the slowest mode's
-    powers reach the floor, or at the longest segment.  Each segment,
-    zero-padded far enough that nothing wraps round, is convolved with
-    K by real FFT.  The backward correlates dy with K for du and with u,
-    summed over segments, for dK, and chains dK through the powers and
+    ``ssm_scan``), on the same compiled loop.  phi and e^z are taken once
+    per state, not once per row, so the drive and y are one product
+    each.  The backward runs the adjoint scan over dy c, takes the
+    weights' sums over the rows as products and chains them through
     phi'(z) to the four weights.  One tape node; y agrees with the scan
     to rounding.
     """
@@ -315,7 +300,6 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, segs=None) -> ad.Tensor:
         if rd.size != 1 or bv.shape != (N,) or cv.shape != (N,):
             raise ad.ShapeError("fixed-step operand shapes disagree")
         layout = ad.Segments.check(segs, T)
-        L = layout.longest
 
         with np.errstate(all="ignore"):  # non-finite results surface via custom_op
             a = -np.exp(rh.reshape(-1))
@@ -323,38 +307,30 @@ def fixed_step_conv(rho, raw_delta, b, c, u, *, segs=None) -> ad.Tensor:
                 raise ad.NonFiniteError("non-finite result in op 'fixed_step_conv'")
             delta = float(ad._softplus(rd.reshape(())))
             z = delta * a
-            phis = phi(z)
-            bc = np.tile(bv * cv, W)
-            coef = phis * delta * bc
-            # K ends where the slowest mode's powers reach the floor.
-            z_max = z.max()
-            span = min(L, int(_LOG_DECAY_FLOOR / z_max) + 2) if z_max < 0 else L
-            js = np.arange(span, dtype=np.float64)
-            powers = np.multiply.outer(z, js)  # [W*N, span]: jz, then e^{jz}
-            live = powers >= _LOG_DECAY_FLOOR
-            np.exp(powers, out=powers, where=live)
-            powers *= live
+            phis, es = phi(z), np.exp(z)
             by_w, _ = _selectors(W, N)
-            n = _fft_length(L + span - 1)  # nothing wraps round
-            kf = np.fft.rfft((by_w * coef) @ powers, n)  # [W, n//2 + 1]
-            uf = np.fft.rfft(_spread(uu, layout), n)
-            ys = _gather(np.fft.irfft(uf * kf, n), layout)
+            bt, ct = np.tile(bv, W), np.tile(cv, W)
+            coef = phis * delta * bt
+            into = by_w * coef  # [W, W*N]: u_t @ into is the drive
+            out = (by_w * ct).T  # [W*N, W]: h_t @ out is y_t
+            decay = np.broadcast_to(es, (T, W * N)).copy()
+            decay[layout.starts] = 0.0  # each segment starts from a zero state
+            hs = _linear_scan(decay, uu @ into)
+            ys = hs @ out
 
         def backward(dy):
-            dyf = np.fft.rfft(_spread(dy, layout), n)
-            du = _gather(np.fft.irfft(dyf * kf.conj(), n), layout)
-            dk = np.fft.irfft(np.einsum("swf,swf->wf", dyf, uf.conj()), n)[:, :span]
-            # K[w, j] = sum_n coef e^{jz}: through the powers, dz takes
-            # j e^{jz}; through coef = phi(z) delta b c, phi'(z).
-            m = (by_w.T @ dk) * powers
-            dcoef = m.sum(axis=1)
-            dz = (m @ js) * coef
-            dz += dcoef * phi_prime(z, phis) * delta * bc
-            dbc = dcoef * phis  # d(delta b c)
-            d_delta = dbc @ bc + dz @ a
-            dbc = (dbc * delta).reshape(W, N).sum(axis=0)
+            # dL/dh_t = dy_t c + e^z dL/dh_{t+1}: the adjoint scan.
+            g = _linear_scan(decay, dy @ out.T, reverse=True)
+            du = g @ into.T
+            dcoef = ((uu.T @ g) * by_w).sum(axis=0)
+            dct = ((dy.T @ hs) * by_w).sum(axis=0)
+            # The decay's share of dz: dL/dh_t e^z h_{t-1}, none across a start.
+            dz = np.einsum("tj,tj->j", g[1:], hs[:-1] * decay[1:])
+            dz += dcoef * phi_prime(z, phis, es) * delta * bt
+            dbt = dcoef * phis  # d(delta b)
+            d_delta = dbt @ bt + dz @ a
             return ((dz * z).reshape(W, N), d_delta * ad._sigmoid(rd.reshape(1))[0],
-                    dbc * cv, dbc * bv, du)
+                    (dbt * delta).reshape(W, N).sum(axis=0), dct.reshape(W, N).sum(axis=0), du)
 
         return ys, backward
 

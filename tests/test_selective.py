@@ -3,6 +3,9 @@ the fixed-step convolution op."""
 
 import ctypes
 import math
+import os
+import subprocess
+import sys
 import zlib
 
 import numpy as np
@@ -279,6 +282,20 @@ class TestLinearScan:
     def test_missing_compiler_raises_import_error(self):
         with pytest.raises(ImportError, match="no-such-cc-for-ressm"):
             selective._build_kernel("no-such-cc-for-ressm")
+
+    def test_failing_compiler_raises_import_error_with_its_output(self):
+        with pytest.raises(ImportError) as e:
+            selective._build_kernel("cc --no-such-flag-for-ressm")
+        # The command, then what the compiler printed about the flag.
+        assert str(e.value).count("--no-such-flag-for-ressm") >= 2
+
+    def test_import_does_not_load_subprocess(self):
+        # subprocess alone adds about half a megabyte to every process.
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = "import sys, ressm; print('subprocess' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "False"
 
 
 def _scan_operands(r, T, W, N):
@@ -629,17 +646,21 @@ class TestFixedStepConv:
         ),
         W=st.integers(1, 3),
         N=st.integers(1, 4),
-        fast=st.sampled_from(["none", "one", "all"]),
+        fast=st.sampled_from(["none", "one", "all", "flushed"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_composed_scan(self, lengths, W, N, fast, seed):
         r = np.random.default_rng(seed)
         segs = ad.Segments(np.cumsum([0] + lengths[:-1]), sum(lengths))
         ops = _fixed_step_operands(r, sum(lengths), W, N)
-        if fast != "none":
-            # delta |a| of 20 to 200 per step: powers fall under the flush
-            # floor within 2 to 18 steps, for one mode or (the kernel then
-            # shorter than the segments) for every mode.
+        if fast == "flushed":
+            # delta |a| = 1000 log 2 ~ 690: the decay e^z, ~1e-301, is
+            # under the scan's floor and counts as zero.
+            ops[0][0, 0], ops[1] = np.log(1000.0), np.array(0.0)
+        elif fast != "none":
+            # delta |a| of 20 to 200 per step: a state decays under the
+            # flush floor within 2 to 18 steps, for one mode or for every
+            # mode.
             ops[0][(0, 0) if fast == "one" else ...] += 4.0 + np.log(r.uniform(0.5, 2.0))
             ops[1] = np.array(r.uniform(0.0, 1.0))
         want = composed_fixed_step(*ops, segs=segs).numpy()
@@ -655,22 +676,6 @@ class TestFixedStepConv:
                                    ops, weight)
             for g, w in zip(got, ref):
                 assert_close_relative(g, w, rtol=1e-10)
-
-    @settings(max_examples=60, deadline=None)
-    @given(lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
-           W=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def test_padded_layout_matches_one_copy_per_segment(self, lengths, W, seed):
-        x = np.random.default_rng(seed).normal(size=(sum(lengths), W))
-        starts = np.cumsum([0] + lengths[:-1])
-        segs = ad.Segments(starts, len(x))
-        want = np.zeros((len(lengths), W, max(lengths)))
-        for s, (lo, n) in enumerate(zip(starts, lengths)):
-            want[s, :, :n] = x[lo : lo + n].T
-        got = selective._spread(x, segs)
-        np.testing.assert_array_equal(got, want)
-        # What irfft hands back is longer than the segments.
-        longer = np.concatenate([want, np.ones((len(lengths), W, 3))], axis=2)
-        np.testing.assert_array_equal(selective._gather(longer, segs), x)
 
     def test_one_sequence_of_one_row(self):
         r = np.random.default_rng(60)
