@@ -260,71 +260,50 @@ def _lift(x) -> Tensor:
     return Tensor(x)
 
 
-def custom_op(kind: str, value: np.ndarray, pairs) -> Tensor:
-    """Record an op with hand-written backward rules.
+def custom_op(kind: str, value: np.ndarray, rule) -> Tensor:
+    """Record an op with a hand-written backward rule.
 
-    ``pairs`` is a sequence of ``(tensor, grad_fn)`` where ``grad_fn``
-    maps the upstream gradient to that operand's gradient.  Untracked
-    operands may be listed; they are skipped.  A tensor may be listed
-    more than once; its gradients then accumulate in the listed order.
-    Every tape op records its node here.
+    ``rule`` is ``(operands, backward)``: ``backward`` maps the upstream
+    gradient to a tuple of gradients, one per operand in order.  It runs
+    once per upstream gradient, and again after ``Tape.reset()``, since
+    a new backward brings a new gradient.  Untracked operands may be
+    listed; their entries are dropped.  A tensor may be listed more than
+    once; its gradients then accumulate in the listed order.  Every tape
+    op records its node here.
     """
     value = np.asarray(value, dtype=np.float64)
     if not np.isfinite(value).all():
         raise NonFiniteError(f"non-finite result in op '{kind}'")
     if value.base is not None:  # a view: the result must own its memory
         value = value.copy()
-    tape = None
-    parents = []
-    fns = []
-    for t, fn in pairs:
-        if t.tape is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif tape is not t.tape:
-            raise TapeError("operands live on different tapes")
-        if t.node_id is not None:
-            parents.append(t.node_id)
-            fns.append(fn)
-    if not parents:
+    operands, backward = rule
+    tracked = [i for i, t in enumerate(operands) if t.node_id is not None]
+    if not tracked:
         return Tensor._wrap(value, None, None)
+    tape = operands[tracked[0]].tape
+    if len({operands[i].tape for i in tracked}) > 1:
+        raise TapeError("operands live on different tapes")
+    parents = tuple([operands[i].node_id for i in tracked])
 
-    def vjp(g, _fns=tuple(fns)):
-        return tuple(np.asarray(fn(g)) for fn in _fns)
+    def vjp(g):
+        grads = backward(g)
+        return tuple(grads[i] for i in tracked)
 
-    return Tensor._wrap(value, tape, tape._append(kind, tuple(parents), vjp))
+    return Tensor._wrap(value, tape, tape._append(kind, parents, vjp))
 
 
 def fused_op(kind: str, forward, *operands) -> Tensor:
     """Record an op written as one numpy forward and one backward.
 
     ``forward`` takes the operands' arrays, in order, and returns
-    ``(value, backward)``; ``backward`` maps the upstream gradient to a
-    tuple of gradients, one per operand in the same order.  It runs once
-    per upstream gradient, however many operands are tracked, and again
-    after ``Tape.reset()``, since a new backward brings a new gradient.
-    Operands that are not tensors are constants; untracked operands get
-    no gradient, and one listed twice gets both its gradients, in order.
-    The scan, selective layer, fixed-step convolution, normalisation and
-    resampler ops are written this way.
+    ``(value, backward)``, with ``backward`` as ``custom_op`` takes it.
+    Operands that are not tensors are constants.  The scan, selective
+    layer, fixed-step convolution, normalisation and resampler ops are
+    written this way.
     """
     tensors = [_lift(x) for x in operands]
     value, backward = forward(*(t.data for t in tensors))
-    # custom_op asks for the tracked operands' gradients one by one, in
-    # order; the tuple lives from the first ask to the last.
-    tracked = [i for i, t in enumerate(tensors) if t.node_id is not None]
-    memo = [None, None]
-
-    def grad(g, i):
-        if memo[0] is not g:
-            memo[0], memo[1] = g, backward(g)
-        out = memo[1][i]
-        if i == tracked[-1]:
-            memo[0] = memo[1] = None
-        return out
-
-    return custom_op(kind, value, [(t, lambda g, i=i: grad(g, i)) for i, t in enumerate(tensors)])
+    return custom_op(kind, value, (tensors, backward))
 
 
 def _scalar_like(t: Tensor) -> bool:
@@ -354,43 +333,29 @@ def add(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_binary("add", a, b)
     out = a.data + b.data
-    return custom_op(
-        "add",
-        out,
-        [(a, lambda g: _reduce_to(g, a.shape)), (b, lambda g: _reduce_to(g, b.shape))],
-    )
+    return custom_op("add", out, ((a, b), lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape))))
 
 
 def sub(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_binary("sub", a, b)
     out = a.data - b.data
-    return custom_op(
-        "sub",
-        out,
-        [(a, lambda g: _reduce_to(g, a.shape)), (b, lambda g: _reduce_to(-g, b.shape))],
-    )
+    return custom_op("sub", out, ((a, b), lambda g: (_reduce_to(g, a.shape), _reduce_to(-g, b.shape))))
 
 
 def mul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     _check_binary("mul", a, b)
     out = a.data * b.data
-    return custom_op(
-        "mul",
-        out,
-        [
-            (a, lambda g: _reduce_to(g * b.data, a.shape)),
-            (b, lambda g: _reduce_to(g * a.data, b.shape)),
-        ],
-    )
+    return custom_op("mul", out, ((a, b), lambda g: (_reduce_to(g * b.data, a.shape),
+                                                     _reduce_to(g * a.data, b.shape))))
 
 
 def exp(a) -> Tensor:
     a = _lift(a)
     with np.errstate(all="ignore"):  # overflow surfaces as NonFiniteError
         out = np.exp(a.data)
-    return custom_op("exp", out, [(a, lambda g: g * out)])
+    return custom_op("exp", out, ((a,), lambda g: (g * out,)))
 
 
 def expm1(a) -> Tensor:
@@ -398,7 +363,7 @@ def expm1(a) -> Tensor:
     a = _lift(a)
     with np.errstate(all="ignore"):
         out = np.expm1(a.data)
-    return custom_op("expm1", out, [(a, lambda g: g * np.exp(a.data))])
+    return custom_op("expm1", out, ((a,), lambda g: (g * np.exp(a.data),)))
 
 
 def log1p(a) -> Tensor:
@@ -406,7 +371,7 @@ def log1p(a) -> Tensor:
     a = _lift(a)
     with np.errstate(all="ignore"):
         out = np.log1p(a.data)
-    return custom_op("log1p", out, [(a, lambda g: g / (1.0 + a.data))])
+    return custom_op("log1p", out, ((a,), lambda g: (g / (1.0 + a.data),)))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -419,7 +384,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def sigmoid(a) -> Tensor:
     a = _lift(a)
     out = _sigmoid(np.asarray(a.data))
-    return custom_op("sigmoid", out, [(a, lambda g: g * out * (1.0 - out))])
+    return custom_op("sigmoid", out, ((a,), lambda g: (g * out * (1.0 - out),)))
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -429,26 +394,26 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 def softplus(a) -> Tensor:
     a = _lift(a)
     out = _softplus(np.asarray(a.data))
-    return custom_op("softplus", out, [(a, lambda g: g * _sigmoid(np.asarray(a.data)))])
+    return custom_op("softplus", out, ((a,), lambda g: (g * _sigmoid(np.asarray(a.data)),)))
 
 
 def neg(a) -> Tensor:
     a = _lift(a)
-    return custom_op("neg", -a.data, [(a, lambda g: -g)])
+    return custom_op("neg", -a.data, ((a,), lambda g: (-g,)))
 
 
 def recip(a) -> Tensor:
     a = _lift(a)
     with np.errstate(all="ignore"):
         out = 1.0 / a.data
-    return custom_op("recip", out, [(a, lambda g: -g * out * out)])
+    return custom_op("recip", out, ((a,), lambda g: (-g * out * out,)))
 
 
 def sqrt(a) -> Tensor:
     a = _lift(a)
     with np.errstate(all="ignore"):
         out = np.sqrt(a.data)
-    return custom_op("sqrt", out, [(a, lambda g: g * 0.5 / out)])
+    return custom_op("sqrt", out, ((a,), lambda g: (g * 0.5 / out,)))
 
 
 _ELEMENTWISE = {
@@ -490,11 +455,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     out = a.data @ b.data
-    return custom_op(
-        "matmul",
-        out,
-        [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)],
-    )
+    return custom_op("matmul", out, ((a, b), lambda g: (g @ b.data.T, a.data.T @ g)))
 
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -502,6 +463,8 @@ def concat(parts, axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat of zero parts")
     nd = parts[0].ndim
+    if not (0 <= axis < nd):
+        raise ShapeError(f"concat axis {axis} out of range for shape {parts[0].shape}")
     for p in parts:
         if p.ndim != nd:
             raise ShapeError("concat parts differ in rank")
@@ -509,19 +472,8 @@ def concat(parts, axis: int = 0) -> Tensor:
             if ax != axis and p.shape[ax] != parts[0].shape[ax]:
                 raise ShapeError(f"concat extent mismatch on axis {ax}: {p.shape} vs {parts[0].shape}")
     out = np.concatenate([p.data for p in parts], axis=axis)
-    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
-
-    def part_grad(i):
-        lo, hi = offsets[i], offsets[i + 1]
-
-        def fn(g, lo=lo, hi=hi):
-            idx = [slice(None)] * nd
-            idx[axis] = slice(lo, hi)
-            return g[tuple(idx)]
-
-        return fn
-
-    return custom_op("concat", out, [(p, part_grad(i)) for i, p in enumerate(parts)])
+    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
+    return custom_op("concat", out, (parts, lambda g: np.split(g, cuts, axis=axis)))
 
 
 def slice_along(a, axis: int, start: int, stop: int) -> Tensor:
@@ -538,9 +490,9 @@ def slice_along(a, axis: int, start: int, stop: int) -> Tensor:
     def da(g):
         z = np.zeros(a.shape)
         z[tuple(idx)] = g
-        return z
+        return (z,)
 
-    return custom_op("slice", out, [(a, da)])
+    return custom_op("slice", out, ((a,), da))
 
 
 def reduce_sum(a, axis=None) -> Tensor:
@@ -548,11 +500,11 @@ def reduce_sum(a, axis=None) -> Tensor:
     out = np.sum(a.data, axis=axis)
 
     def da(g):
-        if axis is None:
-            return np.broadcast_to(g, a.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis), a.shape).copy()
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.shape).copy(),)
 
-    return custom_op("sum", out, [(a, da)])
+    return custom_op("sum", out, ((a,), da))
 
 
 def reduce_mean(a, axis=None) -> Tensor:
@@ -561,11 +513,11 @@ def reduce_mean(a, axis=None) -> Tensor:
     count = a.size if axis is None else a.shape[axis]
 
     def da(g):
-        if axis is None:
-            return np.broadcast_to(g / count, a.shape).copy()
-        return np.broadcast_to(np.expand_dims(g, axis) / count, a.shape).copy()
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g / count, a.shape).copy(),)
 
-    return custom_op("mean", out, [(a, da)])
+    return custom_op("mean", out, ((a,), da))
 
 
 def reduce_max(a, axis=None) -> Tensor:
@@ -578,7 +530,7 @@ def reduce_max(a, axis=None) -> Tensor:
         def da(g):
             z = np.zeros(a.shape)
             z.flat[flat_arg] = np.sum(g)
-            return z
+            return (z,)
 
     else:
         arg = np.argmax(a.data, axis=axis)
@@ -586,9 +538,9 @@ def reduce_max(a, axis=None) -> Tensor:
         def da(g):
             z = np.zeros(a.shape)
             np.put_along_axis(z, np.expand_dims(arg, axis), np.expand_dims(g, axis), axis=axis)
-            return z
+            return (z,)
 
-    return custom_op("max", out, [(a, da)])
+    return custom_op("max", out, ((a,), da))
 
 
 _REDUCE = {"sum": reduce_sum, "mean": reduce_mean, "max": reduce_max}
@@ -684,7 +636,7 @@ def segment_mean(a, segs=None) -> Tensor:
     per_row = segs.lengths.reshape((-1,) + (1,) * (a.ndim - 1))
     out = segs.padded(a.data, -0.0).sum(axis=1) / per_row
     return custom_op("segment_mean", out,
-                     [(a, lambda g: np.repeat(g / per_row, segs.lengths, axis=0))])
+                     ((a,), lambda g: (np.repeat(g / per_row, segs.lengths, axis=0),)))
 
 
 def cumsum(a, segs=None) -> Tensor:
@@ -700,10 +652,10 @@ def cumsum(a, segs=None) -> Tensor:
     segs = Segments.check(segs, a.shape[0])
 
     def da(g):
-        return segs.packed(np.cumsum(segs.padded(g, -0.0)[:, ::-1], axis=1)[:, ::-1])
+        return (segs.packed(np.cumsum(segs.padded(g, -0.0)[:, ::-1], axis=1)[:, ::-1]),)
 
     return custom_op("cumsum", segs.packed(np.cumsum(segs.padded(a.data, 0.0), axis=1)),
-                     [(a, da)])
+                     ((a,), da))
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -715,7 +667,7 @@ def gather_rows(a, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise ShapeError("gather_rows index out of range")
     out = a.data[idx]
-    return custom_op("gather", out, [(a, lambda g: scatter_add(idx, g, a.shape[0]))])
+    return custom_op("gather", out, ((a,), lambda g: (scatter_add(idx, g, a.shape[0]),)))
 
 
 def scatter_add(indices, values, n: int) -> np.ndarray:
@@ -740,7 +692,7 @@ def tile_rows(v, reps: int) -> Tensor:
     if v.ndim != 1:
         raise ShapeError(f"tile_rows expects 1-d input, got {v.shape}")
     out = np.tile(v.data, (reps, 1))
-    return custom_op("tile_rows", out, [(v, lambda g: g.sum(axis=0))])
+    return custom_op("tile_rows", out, ((v,), lambda g: (g.sum(axis=0),)))
 
 
 def tile_cols(v, reps: int) -> Tensor:
@@ -749,13 +701,13 @@ def tile_cols(v, reps: int) -> Tensor:
     if v.ndim != 1:
         raise ShapeError(f"tile_cols expects 1-d input, got {v.shape}")
     out = np.tile(v.data[:, None], (1, reps))
-    return custom_op("tile_cols", out, [(v, lambda g: g.sum(axis=1))])
+    return custom_op("tile_cols", out, ((v,), lambda g: (g.sum(axis=1),)))
 
 
 def reshape(a, shape) -> Tensor:
     a = _lift(a)
     out = np.reshape(a.data, shape)
-    return custom_op("reshape", out, [(a, lambda g: np.reshape(g, a.shape))])
+    return custom_op("reshape", out, ((a,), lambda g: (np.reshape(g, a.shape),)))
 
 
 def cross_entropy(logits, label) -> Tensor:
@@ -784,9 +736,9 @@ def cross_entropy(logits, label) -> Tensor:
     def da(g):
         d = probs.copy()
         d[rows, labels] -= 1.0
-        return (d * np.sum(g)).reshape(logits.shape)
+        return ((d * np.sum(g)).reshape(logits.shape),)
 
-    return custom_op("cross_entropy", out, [(logits, da)])
+    return custom_op("cross_entropy", out, ((logits,), da))
 
 
 # ---------------------------------------------------------------------------

@@ -72,12 +72,16 @@ _VERIFY_SCHEMA = {
     "verify.state_max": Field(int, 4),
     "verify.len_max": Field(int, 32),
 }
+# Below these, the sweep has no report to pass or no instance to draw.
+_VERIFY_LEAST = {"verify.instances": 1, "verify.grid_points": 6, "verify.state_max": 1,
+                 "verify.len_max": 4}
 
 
 def cmd_verify_linearity(args) -> int:
     cfg = _resolved(args, _VERIFY_SCHEMA)
-    if cfg["verify.grid_points"] < 6:
-        raise CliError("verify.grid_points must be at least 6")
+    for key, least in _VERIFY_LEAST.items():
+        if cfg[key] < least:
+            raise CliError(f"{key} must be at least {least}")
     if not (cfg["verify.grid_start"] > cfg["verify.grid_stop"] > 0):
         raise CliError("grid must run from a larger to a smaller positive value")
     out = _prepare_out(args.out, args.force)

@@ -169,6 +169,15 @@ class TestConcatSlice:
         with pytest.raises(ad.ShapeError):
             ad.concat([ad.constant([[1.0, 2.0]]), ad.constant([[1.0]])], axis=0)
 
+    @pytest.mark.parametrize("axis", [-1, 2])
+    def test_axis_out_of_range_names_axis_and_shape(self, axis):
+        # Axes count from 0, as in slice_along; a negative axis is not
+        # read as numpy reads it, and a past-the-end one is not taken
+        # for an extent mismatch.
+        parts = [ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 2)))]
+        with pytest.raises(ad.ShapeError, match=rf"concat axis {axis} out of range for shape \(2, 3\)"):
+            ad.concat(parts, axis=axis)
+
     def test_slice_gradient_is_padded_scatter(self):
         r = rng(11)
         err = ad.grad_check(

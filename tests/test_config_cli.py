@@ -103,6 +103,16 @@ class TestVerifyCommand:
         assert code == 2
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("setting", ["verify.instances=0", "verify.instances=-3",
+                                         "verify.state_max=0", "verify.len_max=2"])
+    def test_degenerate_sweep_is_usage_error(self, tmp_path, capsys, setting):
+        # No instance leaves all_passed true over nothing; a state or
+        # length bound below the least one drawn leaves nothing to draw.
+        code = main(["verify-linearity", "--out", str(tmp_path / "d"), "--set", setting])
+        assert code == 2
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_existing_out_without_force(self, tmp_path):
         out = tmp_path / "dir"
         out.mkdir()

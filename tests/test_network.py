@@ -381,6 +381,46 @@ class TestTapeSize:
         assert counts[0] == counts[1]
 
 
+class TestRecordingSeam:
+    def test_wrapped_custom_op_records_every_node_and_backward_runs_each_rule_once(
+            self, monkeypatch):
+        # bench/tracer.py replaces autodiff.custom_op with a wrapper called
+        # as record(kind, value, rule), and swaps a timed copy into each
+        # recorded node's vjp.  Every tape op must pass through that
+        # global, and backward must call the swapped rules, not copies
+        # kept elsewhere.
+        recorded, runs = [], {}
+        record_op = ad.custom_op
+
+        def record(kind, value, rule):
+            t = record_op(kind, value, rule)
+            recorded.append(t.node_id)
+            if t.node_id is not None:
+                node, nid = t.tape.nodes[t.node_id], t.node_id
+                vjp = node.vjp
+
+                def counted(g):
+                    runs[nid] = runs.get(nid, 0) + 1
+                    return vjp(g)
+
+                node.vjp = counted
+            return t
+
+        monkeypatch.setattr(ad, "custom_op", record)
+        model = net.ResampleNetwork(bench_layout("criterion8"), seed=38)
+        r = np.random.default_rng(39)
+        seqs = [r.integers(0, 12, size=n) for n in (20, 33)]
+        tape = ad.Tape()
+        logits, _ = model.forward(net.Packed.of(seqs), tape=tape, train=True)
+        tape.backward(ad.cross_entropy(logits, [0, 3]))
+        ops = [nid for nid, node in enumerate(tape.nodes) if node.kind != "leaf"]
+        kinds = {tape.nodes[nid].kind for nid in ops}
+        # Fused ops and primitive ones both record through the global.
+        assert {"selective_layer", "fixed_step_conv", "compress", "rmsnorm", "concat"} <= kinds
+        assert recorded == ops
+        assert runs == dict.fromkeys(ops, 1)
+
+
 class TestPacked:
     def test_group_logits_match_each_sequence_alone(self):
         # Eval mode: every op is per row or restarts at each start.
